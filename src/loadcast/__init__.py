@@ -21,7 +21,7 @@ from .data import (
     synthetic_dataset,
     training_windows,
 )
-from .ensemble import EnsembleSpec, aggregate_forecasts, draw_ensemble, run_trials
+from .ensemble import EnsembleSpec, aggregate_forecasts, run_trials
 from .evaluation import (
     DMResult,
     MetricsReport,
@@ -32,9 +32,7 @@ from .evaluation import (
 )
 from .loss import LossConfig, combined_loss, loss_gradients, nmse, pmape
 from .model import (
-    BlockOutput,
     ModelConfig,
-    block_forward,
     config_hash,
     decompose,
     forecast_series,
@@ -43,7 +41,7 @@ from .model import (
     model_forward,
     normalize_input,
 )
-from .nn import AdamState, DenseLayer, GradientTape, adam_step, backward, grad_check
+from .nn import AdamState, GradientTape, adam_step, backward, grad_check
 from .train import Pool, TrainSchedule, TrainedMember, build_pool, load_pool, train_one
 
 __version__ = "0.1.0"

@@ -24,8 +24,10 @@ import numpy as np
 
 from . import data
 from .baselines import seasonal_naive
-from .ensemble import EnsembleSpec, draw_member_indices, run_trials
-from .evaluation import aggregate_metrics, diebold_mariano, dm_decision, point_errors
+from .ensemble import EnsembleSpec, aggregate_forecasts, draw_member_indices, run_trials
+from .evaluation import (
+    SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, point_errors,
+)
 from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose, model_forward
 from .train import TrainSchedule, build_pool, load_pool
 
@@ -151,13 +153,6 @@ def _open_csv(path, cfg_hash: str, master_seed) -> tuple:
     return fh, csv.writer(fh)
 
 
-def _load_manifest_doc(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    return json.loads(path.read_text())
-
-
 def _require_dataset(cfg: RunConfig) -> Path:
     if not cfg.dataset:
         raise ConfigError("config is missing the 'dataset' path")
@@ -189,6 +184,23 @@ def _ensemble_from_args(base: EnsembleSpec, args) -> EnsembleSpec:
         return replace(base, **updates) if updates else base
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _open_pool(args):
+    """The pool of ``--manifest``, its dataset path and series, and the ensemble
+    spec recorded at train time with the command-line overrides applied."""
+    manifest = Path(args.manifest)
+    if not manifest.exists():
+        raise ConfigError(f"manifest not found: {manifest}")
+    pool = load_pool(manifest)
+    dataset = args.dataset or pool.run.get("dataset")
+    if not dataset:
+        raise ConfigError("no dataset given and the manifest records none")
+    if not Path(dataset).exists():
+        raise ConfigError(f"dataset file not found: {dataset}")
+    series_list = _load_series(dataset, pool.config, drop_short=False)
+    base_spec = _build_section(EnsembleSpec, pool.run.get("ensemble", {}), "ensemble")
+    return pool, dataset, series_list, _ensemble_from_args(base_spec, args)
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +267,8 @@ def _forecast_targets(series_list, requested: str):
 
 
 def cmd_forecast(args) -> int:
-    doc = _load_manifest_doc(args.manifest)
-    pool = load_pool(args.manifest)
-    run = doc.get("run", {})
-    dataset = args.dataset or run.get("dataset")
-    if not dataset:
-        raise ConfigError("no dataset given and the manifest records none")
-    if not Path(dataset).exists():
-        raise ConfigError(f"dataset file not found: {dataset}")
-    series_list = _load_series(dataset, pool.config, drop_short=False)
+    pool, _, series_list, spec = _open_pool(args)
     targets = _forecast_targets(series_list, args.series)
-
-    base_spec = _build_section(EnsembleSpec, run.get("ensemble", {}), "ensemble")
-    spec = _ensemble_from_args(base_spec, args)
     config = pool.config
 
     anchors = []
@@ -289,17 +290,12 @@ def cmd_forecast(args) -> int:
         anchors.append(idx)
 
     x = np.stack([s.values[i + 1 - config.lookback : i + 1] for s, i in zip(targets, anchors)])
-    indices = draw_member_indices(len(pool.members), spec, args.trial_index)
-    member_forecasts = []
-    member_contribs = []
-    for i in sorted(set(int(j) for j in indices)):
-        params = pool.members[i].load_params()
-        y_hat, diag = model_forward(params, x, config)
-        member_forecasts.append((i, y_hat))
-        member_contribs.append((i, decompose(diag)))
-    forecast_by_index = dict(member_forecasts)
-    stacked = np.stack([forecast_by_index[int(i)] for i in indices])
-    aggregated = np.median(stacked, axis=0) if spec.aggregation == "median" else stacked.mean(axis=0)
+    indices = draw_member_indices(len(pool.members), spec, args.trial_index).tolist()
+    forecasts, contribs = {}, {}
+    for i in sorted(set(indices)):
+        y_hat, diag = model_forward(pool.members[i].load_params(), x, config)
+        forecasts[i], contribs[i] = y_hat, decompose(diag)
+    aggregated = aggregate_forecasts([forecasts[i] for i in indices], spec.aggregation)
 
     fh, writer = _open_csv(args.out, pool.config_hash, pool.schedule.seed)
     with fh:
@@ -314,10 +310,7 @@ def cmd_forecast(args) -> int:
         # Mean-aggregated block contributions stay additive, so the per-block
         # rows sum exactly to the "forecast" field below (which equals the
         # forecast CSV when aggregation=mean or the ensemble has one member).
-        contrib_by_index = dict(member_contribs)
-        mean_contrib = np.mean(
-            np.stack([contrib_by_index[int(i)] for i in indices]), axis=0
-        )  # (M, n_series, H)
+        mean_contrib = np.mean([contribs[i] for i in indices], axis=0)  # (M, n_series, H)
         series_docs = {}
         for k, (s, idx) in enumerate(zip(targets, anchors)):
             months = [list(s.month_at(idx + j)) for j in range(1, config.horizon + 1)]
@@ -339,7 +332,7 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _baseline_report(series_list, split_spec, region: str, horizon: int):
+def _baseline_report(series_list, split_spec, region: str):
     groups = {}
     for s in series_list:
         regions = data.split(s, split_spec)
@@ -353,23 +346,12 @@ def _baseline_report(series_list, split_spec, region: str, horizon: int):
 
 
 def cmd_evaluate(args) -> int:
-    doc = _load_manifest_doc(args.manifest)
-    pool = load_pool(args.manifest)
-    run = doc.get("run", {})
-    dataset = args.dataset or run.get("dataset")
-    if not dataset:
-        raise ConfigError("no dataset given and the manifest records none")
-    if not Path(dataset).exists():
-        raise ConfigError(f"dataset file not found: {dataset}")
-    series_list = _load_series(dataset, pool.config, drop_short=False)
-    base_spec = _build_section(EnsembleSpec, run.get("ensemble", {}), "ensemble")
-    spec = _ensemble_from_args(base_spec, args)
-
+    pool, dataset, series_list, spec = _open_pool(args)
     windows = data.evaluation_windows(
         series_list, pool.split, pool.config.lookback, pool.config.horizon, region=args.split
     )
     report = run_trials(pool, spec, windows)
-    baseline = _baseline_report(series_list, pool.split, args.split, pool.config.horizon)
+    baseline = _baseline_report(series_list, pool.split, args.split)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,35 +369,24 @@ def cmd_evaluate(args) -> int:
 
     fh, writer = _open_csv(out_dir / "per_series.csv", cfg_hash, master_seed)
     with fh:
-        writer.writerow(["model", "series_id", "medape", "mape", "iqr_ape", "rmse", "mpe"])
+        writer.writerow(["model", "series_id", *SERIES_METRICS])
         for sid, metrics in report.per_series_averaged.items():
-            writer.writerow(
-                [args.label, sid]
-                + [repr(metrics[name]) for name in ("medape", "mape", "iqr_ape", "rmse", "mpe")]
-            )
+            writer.writerow([args.label, sid] + [repr(metrics[name]) for name in SERIES_METRICS])
 
-    fh, writer = _open_csv(out_dir / "errors.csv", cfg_hash, master_seed)
-    with fh:
-        writer.writerow(["series_id", "year", "month", "actual", "forecast", "error"])
+    errors_fh, errors = _open_csv(out_dir / "errors.csv", cfg_hash, master_seed)
+    pe_fh, pes = _open_csv(out_dir / "mpe_points.csv", cfg_hash, master_seed)
+    with errors_fh, pe_fh:
+        errors.writerow(["series_id", "year", "month", "actual", "forecast", "error"])
+        pes.writerow(["series_id", "year", "month", "pe"])
         by_series = {s.id: s for s in series_list}
         for window, forecast in zip(windows, report.mean_forecast):
             s = by_series[window.series_id]
+            pe = point_errors(window.y, forecast).pe
             for j, (actual, predicted) in enumerate(zip(window.y, forecast), start=1):
                 year, month = s.month_at(window.anchor + j)
-                writer.writerow(
-                    [s.id, year, month, repr(float(actual)), repr(float(predicted)),
-                     repr(float(actual - predicted))]
-                )
-
-    fh, writer = _open_csv(out_dir / "mpe_points.csv", cfg_hash, master_seed)
-    with fh:
-        writer.writerow(["series_id", "year", "month", "pe"])
-        for window, forecast in zip(windows, report.mean_forecast):
-            s = by_series[window.series_id]
-            pe = 100.0 * (window.y - forecast) / window.y
-            for j, value in enumerate(pe, start=1):
-                year, month = s.month_at(window.anchor + j)
-                writer.writerow([s.id, year, month, repr(float(value))])
+                errors.writerow([s.id, year, month, repr(float(actual)), repr(float(predicted)),
+                                 repr(float(actual - predicted))])
+                pes.writerow([s.id, year, month, repr(float(pe[j - 1]))])
 
     agg = report.averaged
     print(
@@ -427,6 +398,17 @@ def cmd_evaluate(args) -> int:
         print(f"seasonal-naive MAPE {baseline.aggregate['mape']:.3f}")
     print(f"reports in {out_dir}")
     return 0
+
+
+def _train_and_score(series, cfg: RunConfig, model_cfg, schedule, region: str, workers: int,
+                     out_dir=None, run=None):
+    """Build a pool for one variant of ``cfg`` and score it on ``region``."""
+    pool = build_pool(series, model_cfg, schedule, split_spec=cfg.split, out_dir=out_dir,
+                      workers=workers, extra_manifest=run)
+    windows = data.evaluation_windows(
+        series, cfg.split, model_cfg.lookback, model_cfg.horizon, region=region
+    )
+    return pool, run_trials(pool, cfg.ensemble, windows)
 
 
 def cmd_ablate(args) -> int:
@@ -441,15 +423,10 @@ def cmd_ablate(args) -> int:
     for variant in variants:
         flags = frozenset() if variant == "full" else frozenset({variant})
         model_cfg = replace(cfg.model, ablation=flags)
-        pool = build_pool(
-            series, model_cfg, cfg.schedule, split_spec=cfg.split,
-            out_dir=out_dir / variant, workers=args.workers,
-            extra_manifest={"dataset": cfg.dataset, "variant": variant},
+        pool, report = _train_and_score(
+            series, cfg, model_cfg, cfg.schedule, "test", args.workers,
+            out_dir=out_dir / variant, run={"dataset": cfg.dataset, "variant": variant},
         )
-        windows = data.evaluation_windows(
-            series, cfg.split, model_cfg.lookback, model_cfg.horizon, region="test"
-        )
-        report = run_trials(pool, cfg.ensemble, windows)
         rows.append((variant, report.averaged["mape"], report.averaged["rmse"]))
         details[variant] = {
             "config_hash": config_hash(model_cfg),
@@ -600,11 +577,7 @@ def cmd_sweep(args) -> int:
             schedule = replace(cfg.schedule, **schedule_updates)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"grid combination {dict(zip(field_names, combo))}: {exc}") from None
-        pool = build_pool(series, model_cfg, schedule, split_spec=cfg.split)
-        windows = data.evaluation_windows(
-            series, cfg.split, model_cfg.lookback, model_cfg.horizon, region="val"
-        )
-        report = run_trials(pool, cfg.ensemble, windows)
+        _, report = _train_and_score(series, cfg, model_cfg, schedule, "val", args.workers)
         row = {name: value for name, value in zip(field_names, combo)}
         row.update(
             val_mape=report.averaged["mape"],

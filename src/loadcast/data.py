@@ -357,41 +357,27 @@ def evaluation_windows(
 
 
 class StratifiedSampler:
-    """Infinite window stream: uniform over series, then uniform within the series.
+    """Infinite stream of window indices: uniform over series, then uniform
+    within the series.
 
-    Every series has the same expected representation per batch regardless of
-    its length. Single-owner (stateful RNG); reproducible from the seed for an
-    identical sequence of draw calls.
+    ``sizes`` holds each series' window count; series without windows are
+    never drawn. Every other series has the same expected representation per
+    batch regardless of its length. Single-owner (stateful RNG); reproducible
+    from the seed for an identical sequence of draw calls.
     """
 
-    def __init__(self, windows_per_series, seed):
-        groups = [list(g) for g in windows_per_series if len(g) > 0]
-        if not groups:
+    def __init__(self, sizes, seed):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self._series = np.flatnonzero(sizes > 0)
+        if self._series.size == 0:
             raise DatasetError("all per-series window collections are empty")
-        self._groups = groups
-        self._sizes = np.array([len(g) for g in groups], dtype=np.int64)
+        self._sizes = sizes[self._series]
         self._rng = np.random.default_rng(seed)
 
-    @property
-    def n_series(self) -> int:
-        return len(self._groups)
-
-    def draw(self) -> Window:
-        return self.draw_batch(1)[0]
-
     def draw_batch_indices(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(series index, window index) pairs; the primitive behind draw_batch."""
-        sidx = self._rng.integers(len(self._groups), size=n)
-        widx = self._rng.integers(self._sizes[sidx])
-        return sidx, widx
-
-    def draw_batch(self, n: int) -> list[Window]:
-        sidx, widx = self.draw_batch_indices(n)
-        return [self._groups[s][w] for s, w in zip(sidx, widx)]
-
-    def __iter__(self):
-        while True:
-            yield self.draw()
+        """(series index into ``sizes``, window index within that series) of ``n`` draws."""
+        k = self._rng.integers(self._series.size, size=n)
+        return self._series[k], self._rng.integers(self._sizes[k])
 
 
 # ---------------------------------------------------------------------------

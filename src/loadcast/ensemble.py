@@ -44,23 +44,16 @@ def draw_member_indices(pool_size: int, spec: EnsembleSpec, trial_index: int) ->
     return rng.integers(pool_size, size=spec.ensemble_size)
 
 
-def draw_ensemble(pool_members, spec: EnsembleSpec, trial_index: int) -> list:
-    """The member multiset for one trial."""
-    indices = draw_member_indices(len(pool_members), spec, trial_index)
-    return [pool_members[i] for i in indices]
-
-
 def aggregate_forecasts(member_forecasts, aggregation: str = "median") -> np.ndarray:
-    """Elementwise median or mean of equal-length member forecasts."""
+    """Elementwise median or mean over the leading (member) axis of equal-shape forecasts."""
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-    forecasts = [np.asarray(f, dtype=np.float64) for f in member_forecasts]
-    if not forecasts:
+    try:
+        stacked = np.asarray(member_forecasts, dtype=np.float64)
+    except ValueError:
+        raise ValueError("member forecasts differ in length") from None
+    if stacked.ndim == 0 or len(stacked) == 0:
         raise ValueError("need at least one member forecast")
-    length = forecasts[0].shape
-    if any(f.shape != length for f in forecasts):
-        raise ValueError("member forecasts differ in length")
-    stacked = np.stack(forecasts)
     return np.median(stacked, axis=0) if aggregation == "median" else stacked.mean(axis=0)
 
 
@@ -131,10 +124,7 @@ def run_trials(pool, spec: EnsembleSpec, windows, forecast_fn=None) -> TrialsRep
     forecast_sum = np.zeros(matrix.shape[1:], dtype=np.float64)
     for trial in range(spec.trials):
         indices = draw_member_indices(len(pool.members), spec, trial)
-        chosen = matrix[indices]
-        aggregated = (
-            np.median(chosen, axis=0) if spec.aggregation == "median" else chosen.mean(axis=0)
-        )
+        aggregated = aggregate_forecasts(matrix[indices], spec.aggregation)
         forecast_sum += aggregated
         reports.append(aggregate_metrics(_group_errors(windows, aggregated)))
 

@@ -137,14 +137,6 @@ def normalize_input(x):
 
 
 @dataclass
-class BlockOutput:
-    """Backcast and forecast of a single block, in the normalized-input scale."""
-
-    backcast: np.ndarray
-    forecast: np.ndarray
-
-
-@dataclass
 class Diagnostics:
     """Per-block traces of one forward pass, for decomposition and plotting.
 
@@ -218,20 +210,6 @@ def model_forward(params: dict, x, config: ModelConfig):
     y_hat, diag = forward_graph(tape, params, np.atleast_2d(arr), config)
     out = np.array(y_hat.data)
     return (out if batched else out[0]), diag
-
-
-def block_forward(params: dict, x_m, config: ModelConfig, block_index: int = 0) -> BlockOutput:
-    """Run a single block on an already-normalized input row or batch."""
-    arr = np.atleast_2d(np.asarray(x_m, dtype=np.float64))
-    batched = np.asarray(x_m).ndim == 2
-    tape = nn.GradientTape()
-    leaves = {name: tape.leaf(name, p) for name, p in params.items()}
-    prefix = "shared" if config.sharing else f"block{block_index}"
-    backcast, forecast = _block_graph(tape, leaves, prefix, tape.constant(arr), config)
-    b, f = np.array(backcast.data), np.array(forecast.data)
-    if not batched:
-        b, f = b[0], f[0]
-    return BlockOutput(backcast=b, forecast=f)
 
 
 def decompose(diagnostics: Diagnostics) -> np.ndarray:

@@ -276,36 +276,6 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Layers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DenseLayer:
-    """Weights (out, in) and bias (out,) of one fully connected layer."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ValueError(f"inconsistent layer shapes: W {self.W.shape}, b {self.b.shape}")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise ValueError("layer parameters must be finite")
-
-
-def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    """Plain-numpy ``W·x + b`` over a vector or a batch of row vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.W.shape[1]:
-        raise ValueError(
-            f"input width {x.shape[-1]} does not match layer in-dimension {layer.W.shape[1]}"
-        )
-    return x @ layer.W.T + layer.b
-
-
-# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 

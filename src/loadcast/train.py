@@ -10,14 +10,15 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetError, SplitSpec, StratifiedSampler, make_windows, split
+from .data import DatasetError, SplitSpec, StratifiedSampler, training_windows
 from .loss import combined_loss_graph
 from .model import ModelConfig, config_hash, forward_graph, init_params
 from .nn import AdamState, GradientTape, adam_step, backward
@@ -63,7 +64,12 @@ class TrainedMember:
             return self.params
         if self.checkpoint_path is None:
             raise ValueError("member has neither in-memory parameters nor a checkpoint path")
-        params, _ = load_checkpoint(self.checkpoint_path)
+        params, meta = load_checkpoint(self.checkpoint_path)
+        if meta.get("config_hash") != self.config_hash or meta.get("seed") != self.seed:
+            raise ValueError(
+                f"{self.checkpoint_path}: checkpoint holds config {meta.get('config_hash')} "
+                f"seed {meta.get('seed')}, expected config {self.config_hash} seed {self.seed}"
+            )
         return params
 
 
@@ -127,28 +133,23 @@ def train_one(
     checkpoint_path=None,
 ) -> TrainedMember:
     """Train a single model; fully reproducible from (config, schedule, member_seed)."""
-    split_spec = split_spec or SplitSpec()
-    groups = [
-        make_windows(s, split(s, split_spec).train, config.lookback, config.horizon)
-        for s in series_list
-    ]
+    groups = training_windows(series_list, split_spec, config.lookback, config.horizon)
     if not any(groups):
         raise DatasetError("datasets yield no training windows")
     _guard_target_variance(groups, config)
 
     init_ss, sampler_ss = np.random.SeedSequence(member_seed).spawn(2)
     params = init_params(config, np.random.default_rng(init_ss))
-    sampler = StratifiedSampler(groups, sampler_ss)
+    sizes = [len(g) for g in groups]
+    sampler = StratifiedSampler(sizes, sampler_ss)
     state = AdamState(lr=schedule.lr)
     loss_config = config.loss_config()
 
-    # One gather per batch instead of restacking window objects; the sampler's
-    # group order (empties dropped) dictates the layout.
-    nonempty = [g for g in groups if g]
-    group_ids = [g[0].series_id for g in nonempty]
-    all_x = np.concatenate([np.stack([w.x for w in g]) for g in nonempty])
-    all_y = np.concatenate([np.stack([w.y for w in g]) for g in nonempty])
-    offsets = np.concatenate([[0], np.cumsum([len(g) for g in nonempty])[:-1]])
+    # One gather per batch: the windows of all series stacked in series order.
+    windows = [w for g in groups for w in g]
+    all_x = np.stack([w.x for w in windows])
+    all_y = np.stack([w.y for w in windows])
+    offsets = np.cumsum([0] + sizes[:-1])
 
     trace = []
     first_batch_loss = None
@@ -165,7 +166,7 @@ def train_one(
             loss_value = float(loss_node.data)
             if not np.isfinite(loss_value):
                 bad_rows = ~np.all(np.isfinite(y_hat.data), axis=1)
-                bad = sorted({group_ids[s] for s in sidx[bad_rows]})
+                bad = sorted({series_list[s].id for s in sidx[bad_rows]})
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch + 1}, batch {step + 1}"
                     + (f"; offending series: {', '.join(bad)}" if bad else "")
@@ -207,6 +208,7 @@ class Pool:
     schedule: TrainSchedule
     split: SplitSpec
     members: list[TrainedMember]
+    run: dict = field(default_factory=dict)  # the manifest's free-form "run" section
 
     @property
     def config_hash(self) -> str:
@@ -230,7 +232,7 @@ def _train_pool_member(args):
     )
 
 
-def pool_manifest(pool: Pool, extra: dict | None = None) -> dict:
+def pool_manifest(pool: Pool) -> dict:
     """Deterministic manifest document (no timestamps)."""
     doc = {
         "format": MANIFEST_FORMAT,
@@ -251,13 +253,13 @@ def pool_manifest(pool: Pool, extra: dict | None = None) -> dict:
             if m is not None
         ],
     }
-    if extra:
-        doc["run"] = extra
+    if pool.run:
+        doc["run"] = pool.run
     return doc
 
 
-def write_manifest(pool: Pool, path, extra: dict | None = None) -> dict:
-    doc = pool_manifest(pool, extra)
+def write_manifest(pool: Pool, path) -> dict:
+    doc = pool_manifest(pool)
     doc["created_at"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -290,7 +292,7 @@ def load_pool(manifest_path) -> Pool:
                 checkpoint_path=str(manifest_path.parent / checkpoint) if checkpoint else None,
             )
         )
-    return Pool(config=config, schedule=schedule, split=split_spec, members=members)
+    return Pool(config, schedule, split_spec, members, doc.get("run", {}))
 
 
 def build_pool(
@@ -336,8 +338,8 @@ def build_pool(
                 continue
             try:
                 _, meta = load_checkpoint(ckpt)
-            except (ValueError, OSError, json.JSONDecodeError):
-                continue
+            except (ValueError, OSError, EOFError, zipfile.BadZipFile):
+                continue  # unreadable, e.g. truncated by a crash: retrain it
             if meta.get("config_hash") == expected_hash and meta.get("seed") == seed:
                 members[i] = TrainedMember(
                     seed=seed,
@@ -361,10 +363,12 @@ def build_pool(
         for i in pending
     ]
 
+    run = extra_manifest or {}
+
     def _flush():
         if out_path is not None:
-            partial = Pool(config, schedule, split_spec, list(members))
-            write_manifest(partial, out_path / "manifest.json", extra=extra_manifest)
+            write_manifest(Pool(config, schedule, split_spec, list(members), run),
+                           out_path / "manifest.json")
 
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
@@ -376,7 +380,7 @@ def build_pool(
             members[i] = _train_pool_member(job)
             _flush()
 
-    pool = Pool(config=config, schedule=schedule, split=split_spec, members=list(members))
+    pool = Pool(config, schedule, split_spec, list(members), run)
     if out_path is not None:
-        write_manifest(pool, out_path / "manifest.json", extra=extra_manifest)
+        write_manifest(pool, out_path / "manifest.json")
     return pool

@@ -188,6 +188,14 @@ def test_forecast_anchor_and_series_validation(tmp_path, workspace, capsys):
                    "--anchor", "2030-01", "--out", out) == 2
 
 
+def test_missing_manifest_exits_2_naming_the_path(tmp_path, capsys):
+    missing = tmp_path / "nowhere" / "manifest.json"
+    assert run_cli("forecast", "--manifest", missing, "--out", tmp_path / "f.csv") == 2
+    assert str(missing) in capsys.readouterr().err
+    assert run_cli("evaluate", "--manifest", missing, "--out-dir", tmp_path / "eval") == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_forecast_anchor_mid_series(tmp_path, workspace):
     out = tmp_path / "anchored.csv"
     assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "S00",
@@ -351,6 +359,18 @@ def test_corrupt_checkpoint_is_a_runtime_failure(tmp_path, workspace, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_checkpoint_from_another_member_is_rejected(tmp_path, workspace, capsys):
+    import shutil
+
+    pool_dir = tmp_path / "swapped_pool"
+    shutil.copytree(workspace["root"] / "pool", pool_dir)
+    shutil.copyfile(pool_dir / "member_0000.npz", pool_dir / "member_0001.npz")
+    assert run_cli("evaluate", "--manifest", pool_dir / "manifest.json",
+                   "--dataset", workspace["dataset"], "--out-dir", tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "member_0001.npz" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -367,6 +387,24 @@ def test_sweep_two_point_grid(tmp_path, workspace):
     assert doc["best"]["val_mape"] == min(r["val_mape"] for r in doc["rows"])
     # same seeds across combinations: only tau differs in the rows
     assert {r["tau"] for r in doc["rows"]} == {0.3, 0.35}
+
+
+def test_sweep_passes_workers_to_build_pool(tmp_path, workspace, monkeypatch):
+    import loadcast.cli as cli
+
+    seen = []
+    real_build_pool = cli.build_pool
+
+    def recording_build_pool(*args, workers=1, **kwargs):
+        seen.append(workers)
+        return real_build_pool(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr(cli, "build_pool", recording_build_pool)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"tau": [0.3, 0.35]}))
+    assert run_cli("sweep", "--config", workspace["config_path"], "--grid", grid,
+                   "--workers", 3, "--out-dir", tmp_path / "sweep") == 0
+    assert seen == [3, 3]
 
 
 def test_sweep_single_combination(tmp_path, workspace):

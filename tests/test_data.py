@@ -213,66 +213,46 @@ def test_evaluation_windows_positions():
 # Sampler
 # ---------------------------------------------------------------------------
 
-def sampler_groups(sizes, lookback=3, horizon=2):
-    groups = []
-    for k, size in enumerate(sizes):
-        ts = make_series(size + lookback + horizon - 1, sid=f"G{k}")
-        groups.append(make_windows(ts, (0, len(ts)), lookback, horizon))
-        assert len(groups[-1]) == size
-    return groups
-
-
 def test_sampler_balances_series_of_unequal_length():
-    groups = sampler_groups([1, 100])
-    sampler = StratifiedSampler(groups, seed=123)
-    draws = sampler.draw_batch(10_000)
-    count_small = sum(1 for w in draws if w.series_id == "G0")
+    sidx, _ = StratifiedSampler([1, 100], seed=123).draw_batch_indices(10_000)
+    count_small = int(np.sum(sidx == 0))
     sigma = np.sqrt(10_000 * 0.25)
     assert abs(count_small - 5000) < 3 * sigma
 
 
 def test_sampler_uniform_within_series():
-    groups = sampler_groups([10])
-    sampler = StratifiedSampler(groups, seed=7)
-    anchors = [w.anchor for w in sampler.draw_batch(5000)]
-    counts = np.bincount(np.array(anchors) - min(anchors), minlength=10)
+    sidx, widx = StratifiedSampler([10], seed=7).draw_batch_indices(5000)
+    assert np.all(sidx == 0)
+    counts = np.bincount(widx, minlength=10)
+    assert counts.size == 10
     chi2 = ((counts - 500.0) ** 2 / 500.0).sum()
     assert chi2 < scipy_stats.chi2.ppf(0.99, df=9)
 
 
 def test_sampler_marginals_chi_square():
-    groups = sampler_groups([1, 5, 20, 80, 200])
-    sampler = StratifiedSampler(groups, seed=99)
-    draws = sampler.draw_batch(10_000)
-    counts = np.zeros(5)
-    for w in draws:
-        counts[int(w.series_id[1])] += 1
+    sizes = [1, 5, 20, 80, 200]
+    sidx, widx = StratifiedSampler(sizes, seed=99).draw_batch_indices(10_000)
+    assert np.all(widx < np.array(sizes)[sidx])
+    counts = np.bincount(sidx, minlength=5)
     expected = 10_000 / 5
     chi2 = ((counts - expected) ** 2 / expected).sum()
     assert chi2 < scipy_stats.chi2.ppf(0.99, df=4)
 
 
 def test_sampler_determinism_and_single_series():
-    groups = sampler_groups([4, 9])
-    a = StratifiedSampler(groups, seed=5).draw_batch(50)
-    b = StratifiedSampler(groups, seed=5).draw_batch(50)
-    assert [(w.series_id, w.anchor) for w in a] == [(w.series_id, w.anchor) for w in b]
+    a = StratifiedSampler([4, 9], seed=5).draw_batch_indices(50)
+    b = StratifiedSampler([4, 9], seed=5).draw_batch_indices(50)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    only = StratifiedSampler(sampler_groups([3]), seed=1)
-    assert {w.series_id for w in only.draw_batch(20)} == {"G0"}
+    sidx, widx = StratifiedSampler([3], seed=1).draw_batch_indices(20)
+    assert np.all(sidx == 0) and np.all(widx < 3)
+
+    # series without windows are skipped; indices still refer to ``sizes``
+    sidx, widx = StratifiedSampler([0, 4, 0], seed=2).draw_batch_indices(20)
+    assert np.all(sidx == 1) and np.all(widx < 4)
 
     with pytest.raises(DatasetError):
-        StratifiedSampler([[], []], seed=0)
-
-
-def test_sampler_iteration_matches_draw():
-    groups = sampler_groups([4, 9])
-    it = iter(StratifiedSampler(groups, seed=5))
-    stream = [next(it) for _ in range(10)]
-    again = StratifiedSampler(groups, seed=5)
-    assert [(w.series_id, w.anchor) for w in stream] == [
-        (w.series_id, w.anchor) for w in [again.draw() for _ in range(10)]
-    ]
+        StratifiedSampler([0, 0], seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from loadcast.data import SplitSpec, Window
 from loadcast.ensemble import (
     EnsembleSpec,
     aggregate_forecasts,
-    draw_ensemble,
     draw_member_indices,
     member_forecast_matrix,
     run_trials,
@@ -51,9 +50,6 @@ def test_single_member_pool_repeats_it():
     idx = draw_member_indices(1, spec, 0)
     assert idx.shape == (64,)
     assert np.all(idx == 0)
-    pool = make_pool(1)
-    drawn = draw_ensemble(pool.members, spec, 0)
-    assert len(drawn) == 64 and all(m is pool.members[0] for m in drawn)
 
 
 def test_draws_are_reproducible_per_trial():

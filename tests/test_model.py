@@ -4,7 +4,6 @@ import pytest
 from loadcast.loss import combined_loss_graph
 from loadcast.model import (
     ModelConfig,
-    block_forward,
     config_hash,
     decompose,
     forecast_series,
@@ -76,31 +75,37 @@ def test_normalized_ceiling_is_exactly_one():
 # Block behaviour
 # ---------------------------------------------------------------------------
 
+def one_block(params, x, cfg):
+    """(block input, backcast, forecast) of a one-block model, in the normalized scale."""
+    _, diag = forward_graph(GradientTape(), params, np.atleast_2d(x), cfg)
+    return diag.inputs[0][0], diag.backcasts[0][0], diag.forecasts[0][0]
+
+
 def test_zero_heads_emit_input_mean():
-    cfg = tiny_config()
+    cfg = tiny_config(blocks=1)
     params = zero_head_params(cfg)
     x = np.array([0.2, 0.4, 0.6, 0.8, 1.0, 0.5])
-    out = block_forward(params, x, cfg)
-    assert np.allclose(out.backcast, x.mean(), rtol=0, atol=0)
-    assert np.allclose(out.forecast, x.mean(), rtol=0, atol=0)
+    x_m, backcast, forecast = one_block(params, x, cfg)
+    assert np.array_equal(x_m, x)  # already peaks at 1, so normalization is exact
+    assert np.allclose(backcast, x.mean(), rtol=0, atol=0)
+    assert np.allclose(forecast, x.mean(), rtol=0, atol=0)
 
 
 def test_constant_input_ignores_head_values():
     # zero spread forces Std = 0, so the heads cannot move the output
-    cfg = tiny_config()
+    cfg = tiny_config(blocks=1)
     params = init_params(cfg, 5)
-    x = np.full(6, 0.7)
-    out = block_forward(params, x, cfg)
-    assert np.array_equal(out.backcast, np.full(6, x.mean()))
-    assert np.array_equal(out.forecast, np.full(3, x.mean()))
+    x_m, backcast, forecast = one_block(params, np.full(6, 0.7), cfg)
+    assert np.array_equal(backcast, np.full(6, x_m.mean()))
+    assert np.array_equal(forecast, np.full(3, x_m.mean()))
 
 
 def test_no_destd_zero_heads_emit_zero():
-    cfg = tiny_config(ablation=frozenset({"noDestd"}))
+    cfg = tiny_config(blocks=1, ablation=frozenset({"noDestd"}))
     params = zero_head_params(cfg)
-    out = block_forward(params, np.array([0.2, 0.4, 0.6, 0.8, 1.0, 0.5]), cfg)
-    assert np.array_equal(out.backcast, np.zeros(6))
-    assert np.array_equal(out.forecast, np.zeros(3))
+    _, backcast, forecast = one_block(params, np.array([0.2, 0.4, 0.6, 0.8, 1.0, 0.5]), cfg)
+    assert np.array_equal(backcast, np.zeros(6))
+    assert np.array_equal(forecast, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

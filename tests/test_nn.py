@@ -3,13 +3,11 @@ import pytest
 
 from loadcast.nn import (
     AdamState,
-    DenseLayer,
     GradCheckReport,
     GradientTape,
     adam_step,
     affine,
     backward,
-    dense_forward,
     grad_check,
     mean,
     mul,
@@ -21,38 +19,37 @@ from loadcast.nn import (
 
 
 # ---------------------------------------------------------------------------
-# Dense layer
+# Dense layer (the tape's affine op)
 # ---------------------------------------------------------------------------
 
-def test_dense_forward_identity():
-    layer = DenseLayer(W=np.eye(2), b=np.zeros(2))
-    assert np.array_equal(dense_forward(layer, [3.0, -1.0]), [3.0, -1.0])
+def dense(W, b, x):
+    tape = GradientTape()
+    return affine(np.atleast_2d(x), tape.leaf("W", np.asarray(W, dtype=float)),
+                  tape.leaf("b", np.asarray(b, dtype=float))).data
 
 
-def test_dense_forward_hand_value():
-    layer = DenseLayer(W=np.array([[1.0, 1.0]]), b=np.array([1.0]))
-    assert np.array_equal(dense_forward(layer, [2.0, 3.0]), [6.0])
+def test_affine_forward_identity():
+    assert np.array_equal(dense(np.eye(2), np.zeros(2), [3.0, -1.0]), [[3.0, -1.0]])
 
 
-def test_dense_forward_batch_consistency():
+def test_affine_forward_hand_value():
+    assert np.array_equal(dense([[1.0, 1.0]], [1.0], [2.0, 3.0]), [[6.0]])
+
+
+def test_affine_forward_batch_consistency():
     rng = np.random.default_rng(0)
-    layer = DenseLayer(W=rng.normal(size=(3, 4)), b=rng.normal(size=3))
+    W, b = rng.normal(size=(3, 4)), rng.normal(size=3)
     batch = rng.normal(size=(4, 4))
-    out = dense_forward(layer, batch)
+    out = dense(W, b, batch)
     assert out.shape == (4, 3)
     for i in range(4):
         # batched GEMM may order the summation differently; ULP-level only
-        assert np.allclose(out[i], dense_forward(layer, batch[i]), rtol=1e-12, atol=0)
+        assert np.allclose(out[i], dense(W, b, batch[i])[0], rtol=1e-12, atol=0)
 
 
-def test_dense_layer_validation():
-    with pytest.raises(ValueError, match="shapes"):
-        DenseLayer(W=np.eye(2), b=np.zeros(3))
-    with pytest.raises(ValueError, match="finite"):
-        DenseLayer(W=np.array([[np.nan]]), b=np.zeros(1))
-    layer = DenseLayer(W=np.eye(2), b=np.zeros(2))
+def test_affine_rejects_input_width_mismatch():
     with pytest.raises(ValueError, match="width"):
-        dense_forward(layer, np.ones(3))
+        dense(np.eye(2), np.zeros(2), np.ones(3))
 
 
 # ---------------------------------------------------------------------------

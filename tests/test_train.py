@@ -177,6 +177,27 @@ def test_partial_pool_resume_retrains_only_missing_members(tmp_path):
         assert all(np.array_equal(a[n], b[n]) for n in a)
 
 
+def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
+    # a crash mid-write leaves a truncated zip; resume must retrain it, not abort
+    series = tiny_dataset()
+    clean = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+                       out_dir=tmp_path / "clean")
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+               out_dir=tmp_path / "crashed")
+    broken = tmp_path / "crashed" / "member_0001.npz"
+    broken.write_bytes(broken.read_bytes()[: broken.stat().st_size // 2])
+
+    resumed = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+                         out_dir=tmp_path / "crashed")
+    docs = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("clean", "crashed")]
+    for doc in docs:
+        doc.pop("created_at")
+    assert docs[0] == docs[1]
+    for want, got in zip(clean.members, resumed.members):
+        a, b = want.load_params(), got.load_params()
+        assert a.keys() == b.keys() and all(np.array_equal(a[n], b[n]) for n in a)
+
+
 def test_pool_manifest_loads_back(tmp_path):
     series = tiny_dataset()
     built = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
