@@ -1,10 +1,11 @@
 """Golden-output gate for the CLI.
 
-Runs ``synth``, ``train``, ``evaluate`` (test and val), ``forecast`` (with a
-block decomposition), ``ablate`` and ``sweep`` at a tiny config and compares
-every output file and the commands' stdout byte for byte with the files under
-``tests/golden/``. The only field ignored is ``created_at``. Checkpoints are
-compared by their sha256 digest, listed in ``tests/golden/checkpoints.sha256``.
+Runs ``synth``, ``train`` (with shared and with per-block weights),
+``evaluate`` (test and val), ``forecast`` (with a block decomposition),
+``ablate`` and ``sweep`` at a tiny config and compares every output file and
+the commands' stdout byte for byte with the files under ``tests/golden/``. The
+only field ignored is ``created_at``. Checkpoints are compared by their sha256
+digest, listed in ``tests/golden/checkpoints.sha256``.
 
 The golden files pin float64 results of this numpy/BLAS build. To rewrite them
 (only for a change that is meant to alter the outputs), run
@@ -37,6 +38,8 @@ GRID = {"model.tau": [0.3, 0.4]}
 COMMANDS = [
     ["synth", "--out", "data.csv", "--series", "4", "--months", "60", "--seed", "0"],
     ["train", "--config", "config.json"],
+    ["train", "--config", "config.json", "--set", "model.sharing=false",
+     "--set", "output_dir=pool_unshared"],
     ["evaluate", "--manifest", "pool/manifest.json", "--out-dir", "eval_test"],
     ["evaluate", "--manifest", "pool/manifest.json", "--split", "val", "--aggregation", "mean",
      "--label", "val", "--out-dir", "eval_val"],
