@@ -30,18 +30,18 @@ from .evaluation import (
     dm_decision,
     point_errors,
 )
-from .loss import LossConfig, combined_loss, loss_gradients, nmse, pmape
+from .loss import LossConfig, combined_loss, loss_components, loss_gradients, nmse, pmape
 from .model import (
     ModelConfig,
     config_hash,
     decompose,
     forecast_series,
-    forward_graph,
     init_params,
+    loss_and_grad,
     model_forward,
     normalize_input,
 )
-from .nn import AdamState, GradientTape, adam_step, backward, grad_check
+from .nn import AdamState, adam_step, grad_check
 from .train import Pool, TrainSchedule, TrainedMember, build_pool, load_pool, train_one
 
 __version__ = "0.1.0"

@@ -1,6 +1,9 @@
 """Training losses: pinball-on-percentage-error, variance-normalized squared
-error, and their weighted combination, with closed-form gradients and tape
-builders for end-to-end training.
+error, and their weighted combination, with closed-form gradients.
+
+Training calls these same functions. Their float order is fixed, because
+trained checkpoints depend on it: pinball ``mean(d * (coef / y))`` and squared
+error ``mean(d * d * (1 / var))``, with ``d = y - y_hat``.
 """
 
 from __future__ import annotations
@@ -8,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import nn
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def pinball_coefficients(y, y_hat, tau: float) -> np.ndarray:
 def pmape(y, y_hat, tau: float = 0.35) -> float:
     """Mean pinball loss on percentage errors over all N*H points."""
     y, y_hat = _check_pair(y, y_hat)
-    return float(np.mean(pinball_coefficients(y, y_hat, tau) * (y - y_hat) / y))
+    return float(np.mean((y - y_hat) * (pinball_coefficients(y, y_hat, tau) / y)))
 
 
 def row_variance(y) -> np.ndarray:
@@ -58,16 +59,18 @@ def row_variance(y) -> np.ndarray:
     return np.atleast_2d(np.asarray(y, dtype=np.float64)).var(axis=-1)
 
 
-def _checked_variance(var: np.ndarray, no_var: bool) -> np.ndarray:
+def _inverse_variance(y: np.ndarray, no_var: bool) -> np.ndarray:
+    """1 / Var of each target row as a column; ones when ``no_var`` is set."""
+    var = row_variance(y)
     if no_var:
-        return np.ones_like(var)
+        return np.ones_like(var)[:, None]
     zero = np.flatnonzero(var == 0.0)
     if zero.size:
         raise ValueError(
             f"target row {int(zero[0])} is constant (zero variance); "
             "variance-normalized squared error is undefined"
         )
-    return var
+    return 1.0 / var[:, None]
 
 
 def nmse(y, y_hat, *, no_var: bool = False) -> float:
@@ -77,16 +80,32 @@ def nmse(y, y_hat, *, no_var: bool = False) -> float:
     better than a per-window mean baseline.
     """
     y, y_hat = _check_pair(y, y_hat)
-    var = _checked_variance(row_variance(y), no_var)
-    return float(np.mean((y - y_hat) ** 2 / var[:, None]))
+    d = y - y_hat
+    return float(np.mean(d * d * _inverse_variance(y, no_var)))
+
+
+def _uses_l2(config: LossConfig) -> bool:
+    return not (config.no_l2 or config.nmse_weight == 0.0)
+
+
+def loss_components(y, y_hat, config: LossConfig) -> dict:
+    """The combined loss and its terms, as logged during training.
+
+    ``loss`` is ``pmape + nmse_term``. ``nmse`` is None and ``nmse_term`` 0.0
+    when the L2 term is disabled; otherwise ``nmse_term`` is the weighted value
+    actually added to ``pmape``.
+    """
+    parts = {"pmape": pmape(y, y_hat, config.tau), "nmse": None, "nmse_term": 0.0}
+    if _uses_l2(config):
+        parts["nmse"] = nmse(y, y_hat, no_var=config.no_var)
+        parts["nmse_term"] = config.nmse_weight * parts["nmse"]
+    parts["loss"] = parts["pmape"] + parts["nmse_term"]
+    return parts
 
 
 def combined_loss(y, y_hat, config: LossConfig) -> float:
     """pmape + weight * nmse; exactly pmape when the L2 term is disabled."""
-    base = pmape(y, y_hat, config.tau)
-    if config.no_l2 or config.nmse_weight == 0.0:
-        return base
-    return base + config.nmse_weight * nmse(y, y_hat, no_var=config.no_var)
+    return loss_components(y, y_hat, config)["loss"]
 
 
 def loss_gradients(y, y_hat, config: LossConfig) -> np.ndarray:
@@ -94,32 +113,8 @@ def loss_gradients(y, y_hat, config: LossConfig) -> np.ndarray:
     orig_shape = np.asarray(y_hat, dtype=np.float64).shape
     y2, yh2 = _check_pair(y, y_hat)
     n = y2.size
-    grad = -pinball_coefficients(y2, yh2, config.tau) / (n * y2)
-    if not (config.no_l2 or config.nmse_weight == 0.0):
-        var = _checked_variance(row_variance(y2), config.no_var)
-        grad = grad - config.nmse_weight * 2.0 * (y2 - yh2) / (n * var[:, None])
-    return grad.reshape(orig_shape)
-
-
-def combined_loss_graph(y, y_hat: nn.Tensor, config: LossConfig):
-    """Record the combined loss on ``y_hat``'s tape.
-
-    Returns ``(loss node, components)`` where components logs the plain float
-    value of each term actually added to the loss ("nmse_term" stays 0.0 when
-    the L2 term is disabled).
-    """
-    y2 = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y2.shape != y_hat.data.shape:
-        raise ValueError(f"shape mismatch: targets {y2.shape} vs forecasts {y_hat.data.shape}")
-    if np.any(y2 <= 0.0):
-        raise ValueError("percentage losses require strictly positive targets")
-    diff = y2 - y_hat
-    pin = nn.mean(diff * (pinball_coefficients(y2, y_hat.data, config.tau) / y2))
-    components = {"pmape": float(pin.data), "nmse": None, "nmse_term": 0.0}
-    if config.no_l2 or config.nmse_weight == 0.0:
-        return pin, components
-    var = _checked_variance(row_variance(y2), config.no_var)
-    nm = nn.mean(diff * diff * (1.0 / var[:, None]))
-    components["nmse"] = float(nm.data)
-    components["nmse_term"] = config.nmse_weight * float(nm.data)
-    return pin + nm * config.nmse_weight, components
+    grad = (1.0 / n) * (pinball_coefficients(y2, yh2, config.tau) / y2)
+    if _uses_l2(config):
+        l2 = (config.nmse_weight / n) * _inverse_variance(y2, config.no_var) * (y2 - yh2)
+        grad = 2.0 * l2 + grad
+    return (-grad).reshape(orig_shape)

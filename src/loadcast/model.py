@@ -6,6 +6,12 @@ head outputs are rescaled by the mean/std of the block's own input so the
 heads only have to predict shape. Residuals are ReLU-gated between blocks and
 the per-block forecasts are summed and denormalized. Ablation switches can
 drop the destandardization (``noDestd``) or the residual gate (``noReLU``).
+
+The graph never changes shape, so training differentiates it by hand:
+``loss_and_grad`` runs the same forward as inference and then one reverse
+pass. Float addition is not associative and checkpoints depend on the order,
+so gradient sums of three or more terms fold in one fixed order: shared
+weights last block first, a block input ``((residual + std) + mean) + fc0``.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
-from .loss import LossConfig
+from .loss import LossConfig, loss_components, loss_gradients
 
 ABLATION_FLAGS = ("noL2", "noVar", "noDestd", "noReLU")
 
@@ -160,55 +165,136 @@ class Diagnostics:
         }
 
 
-def _block_graph(tape, leaves, prefix, x_m, config):
-    h = x_m
-    for i in range(config.fc_layers):
-        h = nn.relu(nn.affine(h, leaves[f"{prefix}.fc{i}.W"], leaves[f"{prefix}.fc{i}.b"]))
-    raw_backcast = nn.affine(h, leaves[f"{prefix}.backcast.W"], leaves[f"{prefix}.backcast.b"])
-    raw_forecast = nn.affine(h, leaves[f"{prefix}.forecast.W"], leaves[f"{prefix}.forecast.b"])
-    if config.no_destd:
-        return raw_backcast, raw_forecast
-    mu = nn.row_mean(x_m)
-    sd = nn.row_std(x_m)
-    return raw_backcast * sd + mu, raw_forecast * sd + mu
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched dense map ``x @ W.T + b`` with W shaped (out, in)."""
+    if x.shape[-1] != w.shape[1]:
+        raise ValueError(
+            f"input width {x.shape[-1]} does not match layer in-dimension {w.shape[1]}"
+        )
+    out = x @ w.T
+    out += b
+    return out
 
 
-def forward_graph(tape: nn.GradientTape, params: dict, x: np.ndarray, config: ModelConfig):
-    """Record the full model on ``tape`` for a batch of lookback rows.
+def _forward(params: dict, x: np.ndarray, config: ModelConfig):
+    """Run the model on a batch of lookback rows.
 
-    Returns ``(y_hat Tensor of shape (n, horizon), Diagnostics)``.
+    Returns ``(y_hat of shape (n, horizon), Diagnostics, trace)``; ``trace[m]``
+    holds what the backward pass needs of block m: its parameter prefix, its
+    layer outputs (the block input first), raw head outputs, centered input and
+    input std.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.lookback:
         raise ValueError(f"expected lookback batch of shape (n, {config.lookback}), got {x.shape}")
     normed, scale = normalize_input(x)
-    leaves = {name: tape.leaf(name, arr) for name, arr in params.items()}
     prefixes = parameter_prefixes(config)
-    x_m = tape.constant(normed)
     diag = Diagnostics(scale=scale, inputs=[], backcasts=[], forecasts=[])
+    trace = []
+    x_m = normed
     forecast_sum = None
     for m in range(config.blocks):
         prefix = prefixes[0] if config.sharing else prefixes[m]
-        diag.inputs.append(x_m.data)
-        backcast, forecast = _block_graph(tape, leaves, prefix, x_m, config)
-        diag.backcasts.append(backcast.data)
-        diag.forecasts.append(forecast.data)
+        hidden = [x_m]
+        for i in range(config.fc_layers):
+            pre = affine(hidden[-1], params[f"{prefix}.fc{i}.W"], params[f"{prefix}.fc{i}.b"])
+            hidden.append(np.maximum(pre, 0.0))
+        raw_b = affine(hidden[-1], params[f"{prefix}.backcast.W"], params[f"{prefix}.backcast.b"])
+        raw_f = affine(hidden[-1], params[f"{prefix}.forecast.W"], params[f"{prefix}.forecast.b"])
+        if config.no_destd:
+            centered = sd = None
+            backcast, forecast = raw_b, raw_f
+        else:
+            mu = x_m.mean(axis=-1, keepdims=True)
+            centered = x_m - mu
+            sd = np.sqrt((centered**2).mean(axis=-1, keepdims=True))
+            backcast, forecast = raw_b * sd + mu, raw_f * sd + mu
+        trace.append((prefix, hidden, raw_b, raw_f, centered, sd))
+        diag.inputs.append(x_m)
+        diag.backcasts.append(backcast)
+        diag.forecasts.append(forecast)
         forecast_sum = forecast if forecast_sum is None else forecast_sum + forecast
         if m + 1 < config.blocks:
             residual = x_m - backcast
-            x_m = residual if config.no_relu else nn.relu(residual)
+            x_m = residual if config.no_relu else np.maximum(residual, 0.0)
     y_hat = forecast_sum * scale[:, None]
-    diag.forecast_total = y_hat.data
-    return y_hat, diag
+    diag.forecast_total = y_hat
+    return y_hat, diag, trace
+
+
+def _backward(params: dict, diag: Diagnostics, trace: list, g_y_hat, config: ModelConfig):
+    """Reverse pass of ``_forward``: d(loss)/d(param) from d(loss)/d(y_hat)."""
+    grads: dict[str, np.ndarray] = {}
+
+    def accumulate(name, g):
+        grads[name] = grads[name] + g if name in grads else g
+
+    g_sum = g_y_hat * diag.scale[:, None]  # every block forecast gets this gradient
+    g_next = None  # d(loss)/d(input of block m + 1)
+    for m in reversed(range(config.blocks)):
+        prefix, hidden, raw_b, raw_f, centered, sd = trace[m]
+        g_input = []  # terms of d(loss)/d(block input), summed in this order
+        g_backcast = None  # stays None in the last block: its backcast feeds nothing
+        if g_next is not None:
+            g_residual = g_next if config.no_relu else g_next * (diag.inputs[m + 1] > 0.0)
+            g_input.append(g_residual)
+            g_backcast = -g_residual
+        if config.no_destd:
+            g_raw_f, g_raw_b = g_sum, g_backcast
+        else:
+            g_raw_f = g_sum * sd
+            g_raw_b = None if g_backcast is None else g_backcast * sd
+            if m > 0:  # the first block's input is data
+                g_mu = g_sum.sum(axis=1, keepdims=True)
+                g_sd = (g_sum * raw_f).sum(axis=1, keepdims=True)
+                if g_backcast is not None:
+                    g_mu = g_mu + g_backcast.sum(axis=1, keepdims=True)
+                    g_sd = g_sd + (g_backcast * raw_b).sum(axis=1, keepdims=True)
+                # rows with zero spread get zero subgradient through the std
+                n = centered.shape[-1]
+                safe = np.where(sd > 0.0, sd, 1.0) * n
+                g_input.append(g_sd * np.where(sd > 0.0, centered / safe, 0.0))
+                g_input.append(g_mu / n)
+        accumulate(f"{prefix}.forecast.W", g_raw_f.T @ hidden[-1])
+        accumulate(f"{prefix}.forecast.b", g_raw_f.sum(axis=0))
+        g_h = g_raw_f @ params[f"{prefix}.forecast.W"]
+        if g_raw_b is not None:
+            accumulate(f"{prefix}.backcast.W", g_raw_b.T @ hidden[-1])
+            accumulate(f"{prefix}.backcast.b", g_raw_b.sum(axis=0))
+            g_h = g_h + g_raw_b @ params[f"{prefix}.backcast.W"]
+        for i in reversed(range(config.fc_layers)):
+            g_pre = g_h * (hidden[i + 1] > 0.0)
+            accumulate(f"{prefix}.fc{i}.W", g_pre.T @ hidden[i])
+            accumulate(f"{prefix}.fc{i}.b", g_pre.sum(axis=0))
+            if i > 0 or m > 0:
+                g_h = g_pre @ params[f"{prefix}.fc{i}.W"]
+        if m > 0:
+            g_input.append(g_h)
+            g_next = sum(g_input[1:], g_input[0])
+    return {
+        name: grads[name] if name in grads else np.zeros_like(p) for name, p in params.items()
+    }
+
+
+def loss_and_grad(params: dict, x, y, config: ModelConfig):
+    """Training objective on one batch of lookback rows ``x`` and targets ``y``.
+
+    Returns ``(loss, components, grads)``: the combined loss, its logged terms
+    (see ``loss.loss_components``) and its gradient for every parameter.
+    """
+    y_hat, diag, trace = _forward(params, x, config)
+    loss_config = config.loss_config()
+    parts = loss_components(y, y_hat, loss_config)
+    grads = _backward(params, diag, trace, loss_gradients(y, y_hat, loss_config), config)
+    return parts["loss"], parts, grads
 
 
 def model_forward(params: dict, x, config: ModelConfig):
     """Inference forward pass on plain arrays; accepts one row or a batch."""
     arr = np.asarray(x, dtype=np.float64)
     batched = arr.ndim == 2
-    tape = nn.GradientTape()
-    y_hat, diag = forward_graph(tape, params, np.atleast_2d(arr), config)
-    out = np.array(y_hat.data)
+    y_hat, diag, _ = _forward(params, np.atleast_2d(arr), config)
+    out = np.array(y_hat)
     return (out if batched else out[0]), diag
 
 

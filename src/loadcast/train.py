@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetError, SplitSpec, StratifiedSampler, training_windows
-from .loss import combined_loss_graph
-from .model import ModelConfig, config_hash, forward_graph, init_params
-from .nn import AdamState, GradientTape, adam_step, backward
+from .model import ModelConfig, config_hash, init_params, loss_and_grad, model_forward
+from .nn import AdamState, adam_step
 
 CHECKPOINT_FORMAT = "loadcast-checkpoint"
 MANIFEST_FORMAT = "loadcast-pool"
@@ -143,7 +142,6 @@ def train_one(
     sizes = [len(g) for g in groups]
     sampler = StratifiedSampler(sizes, sampler_ss)
     state = AdamState(lr=schedule.lr)
-    loss_config = config.loss_config()
 
     # One gather per batch: the windows of all series stacked in series order.
     windows = [w for g in groups for w in g]
@@ -160,18 +158,15 @@ def train_one(
             rows = offsets[sidx] + widx
             x = all_x[rows]
             y = all_y[rows]
-            tape = GradientTape()
-            y_hat, _ = forward_graph(tape, params, x, config)
-            loss_node, components = combined_loss_graph(y, y_hat, loss_config)
-            loss_value = float(loss_node.data)
+            loss_value, components, grads = loss_and_grad(params, x, y, config)
             if not np.isfinite(loss_value):
-                bad_rows = ~np.all(np.isfinite(y_hat.data), axis=1)
+                y_hat, _ = model_forward(params, x, config)
+                bad_rows = ~np.all(np.isfinite(y_hat), axis=1)
                 bad = sorted({series_list[s].id for s in sidx[bad_rows]})
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch + 1}, batch {step + 1}"
                     + (f"; offending series: {', '.join(bad)}" if bad else "")
                 )
-            grads = backward(tape, loss_node)
             adam_step(params, grads, state)
             if first_batch_loss is None:
                 first_batch_loss = loss_value
@@ -323,18 +318,20 @@ def build_pool(
 
     members: list[TrainedMember | None] = [None] * schedule.pool_size
     if out_path is not None and resume:
-        prior_losses = {}
+        recorded = {}  # (index, seed) -> final_loss, from the prior manifest
         manifest_file = out_path / "manifest.json"
         if manifest_file.exists():
             try:
                 prior = json.loads(manifest_file.read_text())
                 if prior.get("config_hash") == expected_hash:
-                    prior_losses = {e["index"]: e.get("final_loss") for e in prior.get("members", [])}
+                    recorded = {(e["index"], e["seed"]): e["final_loss"] for e in prior["members"]}
             except (json.JSONDecodeError, KeyError, TypeError):
-                prior_losses = {}
+                recorded = {}
         for i, seed in enumerate(seeds):
             ckpt = out_path / _member_filename(i)
-            if not ckpt.exists():
+            # a checkpoint whose loss the manifest does not record (a crash before
+            # the manifest write) is retrained, so no member's loss is unknown
+            if not ckpt.exists() or recorded.get((i, seed)) is None:
                 continue
             try:
                 _, meta = load_checkpoint(ckpt)
@@ -344,7 +341,7 @@ def build_pool(
                 members[i] = TrainedMember(
                     seed=seed,
                     config_hash=expected_hash,
-                    final_loss=prior_losses.get(i, float("nan")),
+                    final_loss=recorded[(i, seed)],
                     first_batch_loss=float("nan"),
                     loss_trace=[],
                     checkpoint_path=str(ckpt),
@@ -363,12 +360,11 @@ def build_pool(
         for i in pending
     ]
 
-    run = extra_manifest or {}
+    pool = Pool(config, schedule, split_spec, members, extra_manifest or {})
 
     def _flush():
         if out_path is not None:
-            write_manifest(Pool(config, schedule, split_spec, list(members), run),
-                           out_path / "manifest.json")
+            write_manifest(pool, out_path / "manifest.json")
 
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
@@ -379,8 +375,6 @@ def build_pool(
         for i, job in zip(pending, jobs):
             members[i] = _train_pool_member(job)
             _flush()
-
-    pool = Pool(config, schedule, split_spec, list(members), run)
-    if out_path is not None:
-        write_manifest(pool, out_path / "manifest.json")
+    if not pending:
+        _flush()  # nothing was trained: still (re)write the manifest once
     return pool

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from loadcast.data import TimeSeries
-from loadcast.model import ModelConfig
+from loadcast.model import ModelConfig, loss_and_grad, normalize_input, parameter_prefixes
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -99,3 +99,47 @@ def zero_head_reference(x, config: ModelConfig):
             residual = np.maximum(residual, 0.0)
         xm = residual
     return scale * total
+
+
+def relu_margins(params, x, config) -> float:
+    """Smallest |pre-activation| over hidden layers and residual gates.
+
+    Independent numpy trace of the forward pass, used to confirm the gradient
+    check never sits within the excluded band around a ReLU kink.
+    """
+    normed, _ = normalize_input(np.atleast_2d(x))
+    prefixes = parameter_prefixes(config)
+    margin = np.inf
+    xm = normed
+    for m in range(config.blocks):
+        prefix = prefixes[0] if config.sharing else prefixes[m]
+        h = xm
+        for i in range(config.fc_layers):
+            pre = h @ params[f"{prefix}.fc{i}.W"].T + params[f"{prefix}.fc{i}.b"]
+            margin = min(margin, float(np.abs(pre).min()))
+            h = np.maximum(pre, 0.0)
+        raw_b = h @ params[f"{prefix}.backcast.W"].T + params[f"{prefix}.backcast.b"]
+        if config.no_destd:
+            backcast = raw_b
+        else:
+            mu = xm.mean(axis=1, keepdims=True)
+            sd = xm.std(axis=1, keepdims=True)
+            backcast = raw_b * sd + mu
+        residual = xm - backcast
+        if m + 1 < config.blocks:
+            if not config.no_relu:
+                margin = min(margin, float(np.abs(residual).min()))
+                xm = np.maximum(residual, 0.0)
+            else:
+                xm = residual
+    return margin
+
+
+def batch_objective(x, y, config):
+    """``fn(params) -> (loss, grads)`` of the training loss on one fixed batch."""
+
+    def fn(p):
+        loss, _, grads = loss_and_grad(p, x, y, config)
+        return loss, grads
+
+    return fn

@@ -18,57 +18,27 @@ from loadcast.model import (
     ModelConfig,
     decompose,
     forecast_series,
-    forward_graph,
     init_params,
     model_forward,
-    normalize_input,
-    parameter_prefixes,
 )
 from loadcast.evaluation import diebold_mariano, dm_decision, point_errors, series_metrics
-from loadcast.loss import combined_loss_graph
-from loadcast.nn import GradientTape, grad_check
+from loadcast.nn import grad_check
 from loadcast.train import TrainSchedule, train_one
 
-from helpers import dm_reference, positive_batch, sinusoid_trend_series, tiny_config, zero_head_params
+from helpers import (
+    batch_objective,
+    dm_reference,
+    positive_batch,
+    relu_margins,
+    sinusoid_trend_series,
+    tiny_config,
+    zero_head_params,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def relu_margins(params, x, config) -> float:
-    """Smallest |pre-activation| over hidden layers and residual gates.
-
-    Independent numpy trace of the forward pass, used to confirm the gradient
-    check never sits within the excluded band around a ReLU kink.
-    """
-    normed, _ = normalize_input(np.atleast_2d(x))
-    prefixes = parameter_prefixes(config)
-    margin = np.inf
-    xm = normed
-    for m in range(config.blocks):
-        prefix = prefixes[0] if config.sharing else prefixes[m]
-        h = xm
-        for i in range(config.fc_layers):
-            pre = h @ params[f"{prefix}.fc{i}.W"].T + params[f"{prefix}.fc{i}.b"]
-            margin = min(margin, float(np.abs(pre).min()))
-            h = np.maximum(pre, 0.0)
-        raw_b = h @ params[f"{prefix}.backcast.W"].T + params[f"{prefix}.backcast.b"]
-        if config.no_destd:
-            backcast = raw_b
-        else:
-            mu = xm.mean(axis=1, keepdims=True)
-            sd = xm.std(axis=1, keepdims=True)
-            backcast = raw_b * sd + mu
-        residual = xm - backcast
-        if m + 1 < config.blocks:
-            if not config.no_relu:
-                margin = min(margin, float(np.abs(residual).min()))
-                xm = np.maximum(residual, 0.0)
-            else:
-                xm = residual
-    return margin
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +63,7 @@ def test_c1_gradient_correctness():
             y_hat, _ = model_forward(params, x, config)
             assert np.min(np.abs(y - y_hat) / y) > 1e-4
 
-            def build(p, config=config):
-                tape = GradientTape()
-                out, _ = forward_graph(tape, p, x, config)
-                loss_node, _ = combined_loss_graph(y, out, config.loss_config())
-                return tape, loss_node
-
-            result = grad_check(build, params, tolerance=1e-4)
+            result = grad_check(batch_objective(x, y, config), params, tolerance=1e-4)
             assert result.passed, (sharing, flags, result.max_rel_error)
             worst = max(worst, result.worst)
     elapsed = time.monotonic() - started

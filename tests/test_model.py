@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from loadcast.loss import combined_loss_graph
 from loadcast.model import (
     ModelConfig,
     config_hash,
     decompose,
     forecast_series,
-    forward_graph,
     init_params,
+    loss_and_grad,
     model_forward,
     normalize_input,
 )
-from loadcast.nn import GradientTape, backward
 
 from helpers import positive_batch, tiny_config, zero_head_params, zero_head_reference
 
@@ -77,7 +75,7 @@ def test_normalized_ceiling_is_exactly_one():
 
 def one_block(params, x, cfg):
     """(block input, backcast, forecast) of a one-block model, in the normalized scale."""
-    _, diag = forward_graph(GradientTape(), params, np.atleast_2d(x), cfg)
+    _, diag = model_forward(params, np.atleast_2d(x), cfg)
     return diag.inputs[0][0], diag.backcasts[0][0], diag.forecasts[0][0]
 
 
@@ -230,10 +228,7 @@ def test_gradient_flows_to_first_block():
     params = init_params(cfg, 12)
     x = positive_batch(rng, (4, 6))
     y = positive_batch(rng, (4, 3))
-    tape = GradientTape()
-    y_hat, _ = forward_graph(tape, params, x, cfg)
-    loss_node, _ = combined_loss_graph(y, y_hat, cfg.loss_config())
-    grads = backward(tape, loss_node)
+    _, _, grads = loss_and_grad(params, x, y, cfg)
     block0_norm = sum(
         float(np.abs(g).sum()) for name, g in grads.items() if name.startswith("block0.")
     )

@@ -1,31 +1,25 @@
+"""The network's building blocks: the dense layer, the ReLU and
+destandardization steps of the hand-written backward pass, Adam, and the
+finite-difference gradient checker."""
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from loadcast.nn import (
-    AdamState,
-    GradCheckReport,
-    GradientTape,
-    adam_step,
-    affine,
-    backward,
-    grad_check,
-    mean,
-    mul,
-    relu,
-    row_mean,
-    row_std,
-    total,
+from loadcast.model import (
+    ABLATION_FLAGS, ModelConfig, affine, init_params, loss_and_grad, model_forward,
 )
+from loadcast.nn import AdamState, GradCheckReport, adam_step, grad_check
+
+from helpers import batch_objective, positive_batch, relu_margins, tiny_config
 
 
 # ---------------------------------------------------------------------------
-# Dense layer (the tape's affine op)
+# Dense layer
 # ---------------------------------------------------------------------------
 
 def dense(W, b, x):
-    tape = GradientTape()
-    return affine(np.atleast_2d(x), tape.leaf("W", np.asarray(W, dtype=float)),
-                  tape.leaf("b", np.asarray(b, dtype=float))).data
+    return affine(np.atleast_2d(x), np.asarray(W, dtype=float), np.asarray(b, dtype=float))
 
 
 def test_affine_forward_identity():
@@ -53,112 +47,125 @@ def test_affine_rejects_input_width_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Tape ops
+# Backward pass
 # ---------------------------------------------------------------------------
 
-def test_relu_values_and_subgradient():
-    tape = GradientTape()
-    x = tape.leaf("x", np.array([-1.0, 0.0, 2.0]))
-    out = relu(x)
-    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
-    grads = backward(tape, total(out))
-    assert np.array_equal(grads["x"], [0.0, 0.0, 1.0])
+def one_layer_model(**overrides):
+    """One block, one hidden layer of width 3; the heads see its output directly."""
+    return tiny_config(blocks=1, fc_width=3, fc_layers=1, sharing=True, **overrides)
 
-    tape = GradientTape()
-    x = tape.leaf("x", np.array([-3.0, -0.5]))
-    assert np.array_equal(relu(x).data, [0.0, 0.0])
+
+def test_relu_values_and_subgradient():
+    # zero weights pin the three pre-activations at their biases -1, 0 and 2
+    cfg = one_layer_model()
+    params = init_params(cfg, 0)
+    params["shared.fc0.W"][:] = 0.0
+    params["shared.fc0.b"][:] = [-1.0, 0.0, 2.0]
+    rng = np.random.default_rng(1)
+    x, y = positive_batch(rng, (4, 6)), positive_batch(rng, (4, 3))
+    _, _, grads = loss_and_grad(params, x, y, cfg)
+    # units clipped to 0 (also exactly at 0) feed nothing and pass no gradient back
+    assert np.array_equal(grads["shared.forecast.W"][:, :2], np.zeros((3, 2)))
+    assert np.array_equal(grads["shared.fc0.b"][:2], [0.0, 0.0])
+    assert np.all(grads["shared.forecast.W"][:, 2] != 0.0)
+    assert grads["shared.fc0.b"][2] != 0.0
 
 
 def test_relu_gradient_matches_finite_differences():
+    rng = np.random.default_rng(2)
+    x, y = positive_batch(rng, (3, 6)), positive_batch(rng, (3, 3))
     for point in (-1.0, 2.0):
-        def build(params):
-            tape = GradientTape()
-            x = tape.leaf("x", params["x"])
-            return tape, total(relu(x))
-
-        report = grad_check(build, {"x": np.array([point])}, tolerance=1e-6)
-        assert report.passed
+        cfg = one_layer_model()
+        params = init_params(cfg, 4)
+        params["shared.fc0.W"] *= 0.01  # keep every pre-activation near ``point``
+        params["shared.fc0.b"][:] = point
+        report = grad_check(batch_objective(x, y, cfg), params, tolerance=1e-6)
+        assert report.passed, (point, report.max_rel_error)
 
 
 def test_backward_sum_of_dense_gives_inputs():
-    x = np.array([[2.0, -3.0, 5.0]])
-    tape = GradientTape()
-    w = tape.leaf("W", np.zeros((2, 3)))
-    b = tape.leaf("b", np.zeros(2))
-    grads = backward(tape, total(affine(x, w, b)))
-    assert np.array_equal(grads["W"], np.vstack([x[0], x[0]]))
-    assert np.array_equal(grads["b"], [1.0, 1.0])
+    # one block without destandardization: y_hat = scale * (h @ W.T + b), so the
+    # head gradients are the upstream gradient weighted by the head's inputs
+    from loadcast.loss import loss_gradients
+    from loadcast.model import normalize_input
+
+    cfg = one_layer_model(ablation=frozenset({"noDestd"}))
+    params = init_params(cfg, 6)
+    rng = np.random.default_rng(3)
+    x, y = positive_batch(rng, (5, 6)), positive_batch(rng, (5, 3))
+    _, _, grads = loss_and_grad(params, x, y, cfg)
+
+    normed, scale = normalize_input(x)
+    h = np.maximum(normed @ params["shared.fc0.W"].T + params["shared.fc0.b"], 0.0)
+    y_hat = scale[:, None] * (h @ params["shared.forecast.W"].T + params["shared.forecast.b"])
+    upstream = loss_gradients(y, y_hat, cfg.loss_config()) * scale[:, None]
+    assert np.allclose(grads["shared.forecast.W"], upstream.T @ h, rtol=1e-12, atol=0)
+    assert np.allclose(grads["shared.forecast.b"], upstream.sum(axis=0), rtol=1e-12, atol=0)
 
 
 def test_backward_disconnected_parameter_gets_zeros():
-    tape = GradientTape()
-    w = tape.leaf("W", np.ones((1, 2)))
-    b = tape.leaf("b", np.zeros(1))
-    unused = tape.leaf("unused", np.ones(4))
-    grads = backward(tape, total(affine(np.ones((1, 2)), w, b)))
-    assert np.array_equal(grads["unused"], np.zeros(4))
-
-
-def test_backward_twice_errors_and_scalar_check():
-    tape = GradientTape()
-    x = tape.leaf("x", np.ones(3))
-    out = relu(x)
-    with pytest.raises(ValueError, match="scalar"):
-        backward(tape, out)
-    loss = total(out)
-    backward(tape, loss)
-    with pytest.raises(RuntimeError, match="consumed"):
-        backward(tape, loss)
-
-
-def test_backward_random_composite_matches_fd():
+    # the last block's backcast feeds nothing, so its head gets exact zeros
+    cfg = tiny_config(blocks=3, sharing=False)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 5))
-    params = {
-        "W1": rng.normal(size=(4, 5)) * 0.7,
-        "b1": rng.normal(size=4) * 0.1,
-        "W2": rng.normal(size=(2, 4)) * 0.7,
-        "b2": rng.normal(size=2) * 0.1,
-    }
+    _, _, grads = loss_and_grad(
+        init_params(cfg, 5), positive_batch(rng, (4, 6)), positive_batch(rng, (4, 3)), cfg
+    )
+    assert np.array_equal(grads["block2.backcast.W"], np.zeros((6, 8)))
+    assert np.array_equal(grads["block2.backcast.b"], np.zeros(6))
+    assert np.any(grads["block1.backcast.W"] != 0.0)
 
-    def build(p):
-        tape = GradientTape()
-        w1, b1 = tape.leaf("W1", p["W1"]), tape.leaf("b1", p["b1"])
-        w2, b2 = tape.leaf("W2", p["W2"]), tape.leaf("b2", p["b2"])
-        h = relu(affine(x, w1, b1))
-        out = affine(h, w2, b2)
-        composite = out * out + row_mean(out) * 0.5 - row_std(h)
-        return tape, mean(composite)
 
-    report = grad_check(build, params, tolerance=1e-4)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    blocks=st.integers(1, 3),
+    fc_layers=st.integers(1, 2),
+    sharing=st.booleans(),
+    flag=st.sampled_from((None,) + ABLATION_FLAGS),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_random_composite_matches_fd(blocks, fc_layers, sharing, flag, seed):
+    cfg = ModelConfig(
+        lookback=5, horizon=3, blocks=blocks, fc_width=4, fc_layers=fc_layers,
+        sharing=sharing, ablation=frozenset({flag} if flag else ()), seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, seed)
+    x, y = positive_batch(rng, (2, 5)), positive_batch(rng, (2, 3))
+    # finite differences are only meaningful away from the ReLU and pinball kinks
+    assume(relu_margins(params, x, cfg) > 1e-4)
+    y_hat, _ = model_forward(params, x, cfg)
+    assume(np.min(np.abs(y - y_hat) / y) > 1e-4)
+    report = grad_check(batch_objective(x, y, cfg), params, tolerance=1e-4)
     assert report.passed, report.max_rel_error
 
 
 def test_row_stats_gradients():
+    # block 1's last hidden layer has zero weights, so its forecast depends on its
+    # input only through the destandardization mean and std; block 0 learns
+    # through them
+    cfg = tiny_config(blocks=2, sharing=False)
+    params = init_params(cfg, 7)
+    params["block1.fc1.W"][:] = 0.0
+    params["block1.fc1.b"][:] = 0.5
     rng = np.random.default_rng(9)
-    value = rng.normal(size=(4, 6))
-
-    def build_mean(p):
-        tape = GradientTape()
-        x = tape.leaf("x", p["x"])
-        return tape, total(row_mean(x))
-
-    def build_std(p):
-        tape = GradientTape()
-        x = tape.leaf("x", p["x"])
-        return tape, total(row_std(x))
-
-    assert grad_check(build_mean, {"x": value.copy()}, tolerance=1e-6).passed
-    assert grad_check(build_std, {"x": value.copy()}, tolerance=1e-6).passed
+    x, y = positive_batch(rng, (4, 6)), positive_batch(rng, (4, 3))
+    report = grad_check(batch_objective(x, y, cfg), params, tolerance=1e-4)
+    assert report.passed, report.max_rel_error
+    _, _, grads = loss_and_grad(params, x, y, cfg)
+    assert np.any(grads["block0.backcast.W"] != 0.0)
 
 
 def test_row_std_zero_spread_subgradient_is_zero():
-    tape = GradientTape()
-    x = tape.leaf("x", np.full((2, 4), 3.0))
-    out = row_std(x)
-    assert np.array_equal(out.data, np.zeros((2, 1)))
-    grads = backward(tape, total(out))
-    assert np.array_equal(grads["x"], np.zeros((2, 4)))
+    # a constant lookback row has zero spread, so every block's heads are scaled
+    # by a zero std and the next block's input is exactly zero: the loss cannot
+    # move, and each gradient must be exactly zero rather than 0/0
+    for ablation in (frozenset(), frozenset({"noReLU"})):
+        cfg = tiny_config(blocks=3, sharing=False, ablation=ablation)
+        rng = np.random.default_rng(10)
+        x, y = np.full((2, 6), 42.0), positive_batch(rng, (2, 3))
+        _, _, grads = loss_and_grad(init_params(cfg, 11), x, y, cfg)
+        for name, g in grads.items():
+            assert np.array_equal(g, np.zeros_like(g)), name
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +223,30 @@ def test_grad_check_quadratic_passes_tight_tolerance():
     x = rng.normal(size=(3, 4))
     params = {"W": rng.normal(size=(2, 4)), "b": rng.normal(size=2)}
 
-    def build(p):
-        tape = GradientTape()
-        w, b = tape.leaf("W", p["W"]), tape.leaf("b", p["b"])
-        out = affine(x, w, b)
-        return tape, mean(out * out)
+    def fn(p):
+        out = affine(x, p["W"], p["b"])
+        g = 2.0 * out / out.size
+        return float(np.mean(out * out)), {"W": g.T @ x, "b": g.sum(axis=0)}
 
-    report = grad_check(build, params, tolerance=1e-6)
+    report = grad_check(fn, params, tolerance=1e-6)
     assert report.passed
     assert report.worst < 1e-6
 
 
 def test_grad_check_negative_control_names_block():
+    cfg = tiny_config(blocks=2, sharing=False)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 3))
-    params = {"W_ok": rng.normal(size=(2, 3)), "b_broken": rng.normal(size=2)}
+    x, y = positive_batch(rng, (2, 6)), positive_batch(rng, (2, 3))
+    correct = batch_objective(x, y, cfg)
 
-    def build(p):
-        tape = GradientTape()
-        w = tape.leaf("W_ok", p["W_ok"])
-        b = tape.leaf("b_broken", p["b_broken"])
-        out = affine(x, w, b)
-        node = mul(out, 1.0)
-        original = node._pull
-        node._pull = lambda g: original(2.0 * g)  # deliberate gradient bug
-        return tape, total(node)
+    def fn(p):
+        loss, grads = correct(p)
+        grads["block1.fc0.b"] = 2.0 * grads["block1.fc0.b"]  # deliberate gradient bug
+        return loss, grads
 
-    report = grad_check(build, params, tolerance=1e-4)
+    report = grad_check(fn, init_params(cfg, 3), tolerance=1e-4)
     assert not report.passed
-    assert "W_ok" in report.failed and "b_broken" in report.failed
+    assert report.failed == ["block1.fc0.b"]
 
 
 def test_grad_check_report_surface():
@@ -254,10 +256,8 @@ def test_grad_check_report_surface():
 
 
 def test_grad_check_rejects_non_finite_objective():
-    def build(p):
-        tape = GradientTape()
-        x = tape.leaf("x", p["x"])
-        return tape, total(mul(x, np.nan))
+    def fn(p):
+        return float(np.sum(p["x"] * np.nan)), {"x": np.zeros_like(p["x"])}
 
     with pytest.raises(FloatingPointError, match="finite"):
-        grad_check(build, {"x": np.ones(2)})
+        grad_check(fn, {"x": np.ones(2)})

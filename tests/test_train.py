@@ -198,6 +198,39 @@ def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
         assert a.keys() == b.keys() and all(np.array_equal(a[n], b[n]) for n in a)
 
 
+def test_truncated_manifest_resume_matches_clean_build(tmp_path):
+    # a crash while the manifest is written leaves intact checkpoints whose loss
+    # no manifest records; the resume must not write NaN for them
+    series = tiny_dataset()
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+               out_dir=tmp_path / "clean")
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+               out_dir=tmp_path / "crashed")
+    manifest = tmp_path / "crashed" / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:100])
+
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+               out_dir=tmp_path / "crashed")
+    docs = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("clean", "crashed")]
+    for doc in docs:
+        doc.pop("created_at")
+    assert docs[0] == docs[1]
+
+
+def test_manifest_written_once_per_trained_member(tmp_path, monkeypatch):
+    writes = []
+    original = train_mod.write_manifest
+    monkeypatch.setattr(train_mod, "write_manifest",
+                        lambda pool, path: writes.append(path) or original(pool, path))
+    schedule = TrainSchedule(epochs=1, batches_per_epoch=2, batch_size=8, pool_size=3, seed=42)
+    series = tiny_dataset()
+    build_pool(series, tiny_config(), schedule, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    assert len(writes) == 3
+    # a resume that trains nothing still rewrites the manifest, once
+    build_pool(series, tiny_config(), schedule, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    assert len(writes) == 4
+
+
 def test_pool_manifest_loads_back(tmp_path):
     series = tiny_dataset()
     built = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
