@@ -1,11 +1,13 @@
 """Golden-output gate for the CLI.
 
 Runs ``synth``, ``train`` (with shared and with per-block weights),
-``evaluate`` (test and val), ``forecast`` (with a block decomposition),
-``ablate`` and ``sweep`` at a tiny config and compares every output file and
-the commands' stdout byte for byte with the files under ``tests/golden/``. The
-only field ignored is ``created_at``. Checkpoints are compared by their sha256
-digest, listed in ``tests/golden/checkpoints.sha256``.
+``evaluate`` (test and val, and the per-block pool on test), ``dm-test``
+(absolute loss at the default horizon, and squared loss at horizon 1),
+``forecast`` (with a block decomposition), ``ablate`` and ``sweep`` at a tiny
+config and compares every output file and the commands' stdout byte for byte
+with the files under ``tests/golden/``. The only field ignored is
+``created_at``. Checkpoints are compared by their sha256 digest, listed in
+``tests/golden/checkpoints.sha256``.
 
 The golden files pin float64 results of this numpy/BLAS build. To rewrite them
 (only for a change that is meant to alter the outputs), run
@@ -43,6 +45,11 @@ COMMANDS = [
     ["evaluate", "--manifest", "pool/manifest.json", "--out-dir", "eval_test"],
     ["evaluate", "--manifest", "pool/manifest.json", "--split", "val", "--aggregation", "mean",
      "--label", "val", "--out-dir", "eval_val"],
+    ["evaluate", "--manifest", "pool_unshared/manifest.json", "--out-dir", "eval_unshared"],
+    ["dm-test", "--errors-a", "eval_test/errors.csv", "--errors-b", "eval_unshared/errors.csv",
+     "--out", "dm.json"],
+    ["dm-test", "--errors-a", "eval_test/errors.csv", "--errors-b", "eval_unshared/errors.csv",
+     "--horizon", "1", "--loss", "squared", "--out", "dm_sq.json"],
     ["forecast", "--manifest", "pool/manifest.json", "--out", "forecast.csv",
      "--decomposition", "blocks.json"],
     ["forecast", "--manifest", "pool/manifest.json", "--series", "S01,S03", "--anchor", "2013-12",
