@@ -13,10 +13,8 @@ from .data import (
     SplitSpec,
     StratifiedSampler,
     TimeSeries,
-    Window,
     evaluation_windows,
     load_dataset,
-    make_windows,
     split,
     synthetic_dataset,
     training_windows,
@@ -30,12 +28,11 @@ from .evaluation import (
     dm_decision,
     point_errors,
 )
-from .loss import LossConfig, combined_loss, loss_components, loss_gradients, nmse, pmape
+from .loss import LossConfig, loss_components, loss_gradients, nmse, pmape
 from .model import (
     ModelConfig,
     config_hash,
     decompose,
-    forecast_series,
     init_params,
     loss_and_grad,
     model_forward,

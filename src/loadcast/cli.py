@@ -16,14 +16,14 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import data
-from .baselines import seasonal_naive
+from .baselines import PERIOD, seasonal_naive
 from .ensemble import EnsembleSpec, aggregate_forecasts, draw_member_indices, run_trials
 from .evaluation import (
     SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, point_errors,
@@ -56,9 +56,9 @@ class RunConfig:
             "dataset": self.dataset,
             "output_dir": self.output_dir,
             "model": self.model.to_dict(),
-            "train": {f.name: getattr(self.schedule, f.name) for f in dataclass_fields(self.schedule)},
-            "ensemble": {f.name: getattr(self.ensemble, f.name) for f in dataclass_fields(self.ensemble)},
-            "split": {f.name: getattr(self.split, f.name) for f in dataclass_fields(self.split)},
+            "train": asdict(self.schedule),
+            "ensemble": asdict(self.ensemble),
+            "split": asdict(self.split),
         }
 
 
@@ -332,26 +332,24 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _baseline_report(series_list, split_spec, region: str):
-    groups = {}
-    for s in series_list:
-        regions = data.split(s, split_spec)
-        start, stop = getattr(regions, region)
-        history = s.values[:start]
-        if history.size < 12:
-            return None
-        forecast = seasonal_naive(history, stop - start)
-        groups[s.id] = point_errors(s.values[start:stop], forecast)
-    return aggregate_metrics(groups)
+def _baseline_report(series_list, starts, y):
+    """Seasonal-naive scores of the target rows ``y``, which start at ``starts``;
+    None when some series has less than one seasonal period of history before its start."""
+    if min(starts) < PERIOD:
+        return None
+    return aggregate_metrics({
+        s.id: point_errors(actual, seasonal_naive(s.values[:start], actual.size))
+        for s, start, actual in zip(series_list, starts, y)
+    })
 
 
 def cmd_evaluate(args) -> int:
     pool, dataset, series_list, spec = _open_pool(args)
-    windows = data.evaluation_windows(
+    x, y, starts = data.evaluation_windows(
         series_list, pool.split, pool.config.lookback, pool.config.horizon, region=args.split
     )
-    report = run_trials(pool, spec, windows)
-    baseline = _baseline_report(series_list, pool.split, args.split)
+    report = run_trials(pool, spec, x, y, [s.id for s in series_list])
+    baseline = _baseline_report(series_list, starts, y)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,15 +376,13 @@ def cmd_evaluate(args) -> int:
     with errors_fh, pe_fh:
         errors.writerow(["series_id", "year", "month", "actual", "forecast", "error"])
         pes.writerow(["series_id", "year", "month", "pe"])
-        by_series = {s.id: s for s in series_list}
-        for window, forecast in zip(windows, report.mean_forecast):
-            s = by_series[window.series_id]
-            pe = point_errors(window.y, forecast).pe
-            for j, (actual, predicted) in enumerate(zip(window.y, forecast), start=1):
-                year, month = s.month_at(window.anchor + j)
+        for s, start, target, forecast in zip(series_list, starts, y, report.mean_forecast):
+            pe = point_errors(target, forecast).pe
+            for j, (actual, predicted) in enumerate(zip(target, forecast)):
+                year, month = s.month_at(start + j)
                 errors.writerow([s.id, year, month, repr(float(actual)), repr(float(predicted)),
                                  repr(float(actual - predicted))])
-                pes.writerow([s.id, year, month, repr(float(pe[j - 1]))])
+                pes.writerow([s.id, year, month, repr(float(pe[j]))])
 
     agg = report.averaged
     print(
@@ -405,10 +401,10 @@ def _train_and_score(series, cfg: RunConfig, model_cfg, schedule, region: str, w
     """Build a pool for one variant of ``cfg`` and score it on ``region``."""
     pool = build_pool(series, model_cfg, schedule, split_spec=cfg.split, out_dir=out_dir,
                       workers=workers, extra_manifest=run)
-    windows = data.evaluation_windows(
+    x, y, _ = data.evaluation_windows(
         series, cfg.split, model_cfg.lookback, model_cfg.horizon, region=region
     )
-    return pool, run_trials(pool, cfg.ensemble, windows)
+    return pool, run_trials(pool, cfg.ensemble, x, y, [s.id for s in series])
 
 
 def cmd_ablate(args) -> int:
@@ -495,18 +491,7 @@ def cmd_dm_test(args) -> int:
     e2 = np.array([errors_b[k] for k in keys])
     result = diebold_mariano(e1, e2, loss_kind=args.loss, horizon_correction=args.horizon)
 
-    doc = {
-        "loss": args.loss,
-        "horizon_correction": args.horizon,
-        "n": result.n,
-        "lag": result.lag,
-        "mean_differential": result.mean_differential,
-        "long_run_variance": result.long_run_variance,
-        "degenerate": result.degenerate,
-        "reason": result.reason,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-    }
+    doc = {"loss": args.loss, "horizon_correction": args.horizon, **asdict(result)}
     if result.degenerate:
         print(f"degenerate Diebold-Mariano comparison: {result.reason}")
     else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_LOOKBACK = 12
 DEFAULT_HORIZON = 12
@@ -142,29 +143,22 @@ def _read_json_rows(path: Path) -> dict[str, list[tuple[int, float, str]]]:
 
 def load_dataset(
     path,
-    format: str = "auto",
     *,
     min_length: int = DEFAULT_LOOKBACK + 2 * DEFAULT_HORIZON,
     on_short: str = "error",
 ) -> list[TimeSeries]:
     """Load and validate a dataset, returning one TimeSeries per distinct id.
 
-    ``format`` is "csv", "json", or "auto" (by file extension). Series shorter
-    than ``min_length`` are a hard error unless ``on_short="drop"``, which
-    drops them with a warning. Months must be contiguous within each series;
-    rows may arrive unsorted.
+    A ``.json`` file is read as a JSON manifest, anything else as CSV. Series
+    shorter than ``min_length`` are a hard error unless ``on_short="drop"``,
+    which drops them with a warning. Months must be contiguous within each
+    series; rows may arrive unsorted.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    if format == "auto":
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        per_id = _read_csv_rows(path)
-    elif format == "json":
-        per_id = _read_json_rows(path)
-    else:
-        raise DatasetError(f"unknown dataset format '{format}'")
+    read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
+    per_id = read_rows(path)
     if not per_id:
         raise DatasetError(f"{path}: no data rows")
     if on_short not in ("error", "drop"):
@@ -244,20 +238,16 @@ class RegionSplit:
     test: tuple[int, int]
 
 
-def split(series: TimeSeries, spec: SplitSpec | None = None, *, min_train: int = 0) -> RegionSplit:
-    """Partition a series into train/validation/test regions.
-
-    ``min_train`` lets callers require enough training months for at least one
-    window (typically lookback + horizon).
-    """
+def split(series: TimeSeries, spec: SplitSpec | None = None) -> RegionSplit:
+    """Partition a series into train/validation/test regions."""
     spec = spec or SplitSpec()
     n = len(series)
     held = spec.test_months + spec.val_months
     train_stop = n - held
-    if train_stop < min_train:
+    if train_stop < 0:
         raise DatasetError(
-            f"series '{series.id}' is too short for the requested split: {n} months leave "
-            f"{max(train_stop, 0)} training months, {min_train} required"
+            f"series '{series.id}' is too short for the requested split: {n} months, "
+            f"{held} held out"
         )
     return RegionSplit(
         train=(0, train_stop),
@@ -266,74 +256,47 @@ def split(series: TimeSeries, spec: SplitSpec | None = None, *, min_train: int =
     )
 
 
-@dataclass(frozen=True)
-class Window:
-    """A training/evaluation pair: lookback ``x`` and target ``y``.
-
-    ``anchor`` is the absolute index of the last lookback month in the source
-    series, so windows can be re-sliced and leakage-checked.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    series_id: str
-    anchor: int
-
-
-def make_windows(
-    series: TimeSeries,
-    region: tuple[int, int],
-    lookback: int,
-    horizon: int,
-    *,
-    allow_empty: bool = True,
-) -> list[Window]:
-    """All stride-1 windows whose lookback and target both lie inside ``region``."""
-    start, stop = region
-    count = (stop - start) - lookback - horizon + 1
-    if count <= 0:
-        if allow_empty:
-            return []
-        raise DatasetError(
-            f"series '{series.id}': region of {stop - start} months cannot host a "
-            f"{lookback}+{horizon} window"
-        )
-    out = []
-    for anchor in range(start + lookback - 1, stop - horizon):
-        out.append(
-            Window(
-                x=series.values[anchor - lookback + 1 : anchor + 1],
-                y=series.values[anchor + 1 : anchor + 1 + horizon],
-                series_id=series.id,
-                anchor=anchor,
-            )
-        )
-    return out
-
-
 def training_windows(
     series_list, spec: SplitSpec | None = None, lookback: int = DEFAULT_LOOKBACK,
     horizon: int = DEFAULT_HORIZON,
-) -> list[list[Window]]:
-    """Per-series training windows (possibly empty lists for short series)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stride-1 window of each series' training region, stacked in series order.
+
+    Returns ``(x, y, counts)``: lookback rows (n, lookback), target rows
+    (n, horizon) and each series' window count (0 when its training region
+    cannot host lookback + horizon months). The training region starts at
+    offset 0, so window k of a series has its last lookback month (its anchor)
+    at offset ``lookback - 1 + k``.
+    """
     spec = spec or SplitSpec()
-    return [
-        make_windows(s, split(s, spec).train, lookback, horizon) for s in series_list
-    ]
+    width = lookback + horizon
+    empty = np.empty((0, width))
+    views = []
+    for series in series_list:
+        stop = split(series, spec).train[1]
+        views.append(sliding_window_view(series.values[:stop], width) if stop >= width else empty)
+    rows = np.concatenate([empty, *views])
+    return rows[:, :lookback], rows[:, lookback:], np.array([len(v) for v in views], dtype=np.int64)
 
 
 def evaluation_windows(
     series_list, spec: SplitSpec | None = None, lookback: int = DEFAULT_LOOKBACK,
     horizon: int = DEFAULT_HORIZON, region: str = "test",
-) -> list[Window]:
-    """One window per series: lookback ends right before the chosen region."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """One window per series, in ``series_list`` order: the target row is the
+    chosen held-out region and the lookback row the months right before it.
+
+    Returns ``(x, y, starts)``, with ``starts[i]`` the region's start offset in
+    series i.
+    """
     if region not in ("val", "test"):
         raise ValueError("region must be 'val' or 'test'")
     spec = spec or SplitSpec()
-    out = []
-    for series in series_list:
-        regions = split(series, spec)
-        start, stop = getattr(regions, region)
+    x = np.empty((len(series_list), lookback))
+    y = np.empty((len(series_list), horizon))
+    starts = []
+    for i, series in enumerate(series_list):
+        start, stop = getattr(split(series, spec), region)
         if stop - start == 0:
             raise DatasetError(f"series '{series.id}' has an empty {region} region")
         if stop - start != horizon:
@@ -345,15 +308,10 @@ def evaluation_windows(
             raise DatasetError(
                 f"series '{series.id}': fewer than {lookback} months precede the {region} region"
             )
-        out.append(
-            Window(
-                x=series.values[start - lookback : start],
-                y=series.values[start:stop],
-                series_id=series.id,
-                anchor=start - 1,
-            )
-        )
-    return out
+        x[i] = series.values[start - lookback : start]
+        y[i] = series.values[start:stop]
+        starts.append(start)
+    return x, y, starts
 
 
 class StratifiedSampler:

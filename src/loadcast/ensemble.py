@@ -57,23 +57,18 @@ def aggregate_forecasts(member_forecasts, aggregation: str = "median") -> np.nda
     return np.median(stacked, axis=0) if aggregation == "median" else stacked.mean(axis=0)
 
 
-def member_forecast_matrix(pool, windows, forecast_fn=None) -> np.ndarray:
-    """Forecasts of every pool member on every window, shape (members, windows, H).
+def member_forecast_matrix(pool, x, forecast_fn=None) -> np.ndarray:
+    """Forecasts of every pool member on the lookback rows ``x``, shape (members, rows, H).
 
-    ``forecast_fn(member, window) -> horizon vector`` overrides the model
-    forward pass; tests use it to inject oracle forecasts.
+    ``forecast_fn(member, x) -> (rows, H)`` overrides the model forward pass;
+    tests use it to inject oracle forecasts.
     """
-    horizon = pool.config.horizon
-    out = np.empty((len(pool.members), len(windows), horizon), dtype=np.float64)
-    x = np.stack([w.x for w in windows])
+    out = np.empty((len(pool.members), len(x), pool.config.horizon))
     for i, member in enumerate(pool.members):
         if forecast_fn is not None:
-            for j, window in enumerate(windows):
-                out[i, j] = np.asarray(forecast_fn(member, window), dtype=np.float64)
+            out[i] = forecast_fn(member, x)
         else:
-            params = member.load_params()
-            y_hat, _ = model_forward(params, x, pool.config)
-            out[i] = y_hat
+            out[i] = model_forward(member.load_params(), x, pool.config)[0]
     return out
 
 
@@ -86,7 +81,7 @@ class TrialsReport:
     averaged: dict
     spread: dict
     per_series_averaged: dict
-    mean_forecast: np.ndarray  # (windows, H), averaged over trials
+    mean_forecast: np.ndarray  # (rows, H), averaged over trials
 
     def to_dict(self) -> dict:
         return {
@@ -101,32 +96,25 @@ class TrialsReport:
         }
 
 
-def _group_errors(windows, forecasts):
-    grouped_y: dict[str, list] = {}
-    grouped_f: dict[str, list] = {}
-    for window, forecast in zip(windows, forecasts):
-        grouped_y.setdefault(window.series_id, []).append(window.y)
-        grouped_f.setdefault(window.series_id, []).append(forecast)
-    return {
-        sid: point_errors(np.concatenate(grouped_y[sid]), np.concatenate(grouped_f[sid]))
-        for sid in grouped_y
-    }
-
-
-def run_trials(pool, spec: EnsembleSpec, windows, forecast_fn=None) -> TrialsReport:
-    """Draw ``spec.trials`` bootstrap ensembles and score each on ``windows``."""
+def run_trials(pool, spec: EnsembleSpec, x, y, series_ids, forecast_fn=None) -> TrialsReport:
+    """Draw ``spec.trials`` bootstrap ensembles and score each on the rows of
+    lookbacks ``x`` and targets ``y``, one row per series in ``series_ids``."""
     if not pool.members:
         raise ValueError("cannot evaluate an empty pool")
-    if not windows:
+    if len(x) == 0:
         raise ValueError("no evaluation windows")
-    matrix = member_forecast_matrix(pool, windows, forecast_fn)
+    if len(set(series_ids)) != len(y):
+        raise ValueError("need exactly one evaluation row per series id")
+    matrix = member_forecast_matrix(pool, x, forecast_fn)
     reports: list[MetricsReport] = []
     forecast_sum = np.zeros(matrix.shape[1:], dtype=np.float64)
     for trial in range(spec.trials):
         indices = draw_member_indices(len(pool.members), spec, trial)
         aggregated = aggregate_forecasts(matrix[indices], spec.aggregation)
         forecast_sum += aggregated
-        reports.append(aggregate_metrics(_group_errors(windows, aggregated)))
+        reports.append(aggregate_metrics(
+            {sid: point_errors(actual, f) for sid, actual, f in zip(series_ids, y, aggregated)}
+        ))
 
     values = {
         name: np.array([r.aggregate_summary()[name] for r in reports]) for name in REPORT_METRICS

@@ -103,11 +103,6 @@ def loss_components(y, y_hat, config: LossConfig) -> dict:
     return parts
 
 
-def combined_loss(y, y_hat, config: LossConfig) -> float:
-    """pmape + weight * nmse; exactly pmape when the L2 term is disabled."""
-    return loss_components(y, y_hat, config)["loss"]
-
-
 def loss_gradients(y, y_hat, config: LossConfig) -> np.ndarray:
     """d(combined loss)/d(forecast); the pinball kink takes the y >= y_hat branch."""
     orig_shape = np.asarray(y_hat, dtype=np.float64).shape

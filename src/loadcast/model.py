@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,18 +72,7 @@ class ModelConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "blocks": self.blocks,
-            "fc_width": self.fc_width,
-            "fc_layers": self.fc_layers,
-            "sharing": self.sharing,
-            "tau": self.tau,
-            "nmse_weight": self.nmse_weight,
-            "ablation": sorted(self.ablation),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "ablation": sorted(self.ablation)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
@@ -127,18 +116,12 @@ def init_params(config: ModelConfig, seed=None) -> dict[str, np.ndarray]:
     return params
 
 
-def normalize_input(x):
-    """Divide each lookback row by its maximum; returns (normalized, scale)."""
-    arr = np.asarray(x, dtype=np.float64)
-    batched = arr.ndim == 2
-    rows = np.atleast_2d(arr)
-    scale = rows.max(axis=-1)
+def normalize_input(x: np.ndarray):
+    """Divide each row of a lookback batch by its maximum; returns (normalized, scale)."""
+    scale = x.max(axis=-1)
     if np.any(scale <= 0.0) or not np.all(np.isfinite(scale)):
         raise ValueError("lookback maximum must be positive and finite")
-    normed = rows / scale[:, None]
-    if batched:
-        return normed, scale
-    return normed[0], float(scale[0])
+    return x / scale[:, None], scale
 
 
 @dataclass
@@ -154,15 +137,6 @@ class Diagnostics:
     backcasts: list[np.ndarray]
     forecasts: list[np.ndarray]
     forecast_total: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.scale.tolist(),
-            "inputs": [a.tolist() for a in self.inputs],
-            "backcasts": [a.tolist() for a in self.backcasts],
-            "forecasts": [a.tolist() for a in self.forecasts],
-            "forecast_total": self.forecast_total.tolist() if self.forecast_total is not None else None,
-        }
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,12 +264,9 @@ def loss_and_grad(params: dict, x, y, config: ModelConfig):
 
 
 def model_forward(params: dict, x, config: ModelConfig):
-    """Inference forward pass on plain arrays; accepts one row or a batch."""
-    arr = np.asarray(x, dtype=np.float64)
-    batched = arr.ndim == 2
-    y_hat, diag, _ = _forward(params, np.atleast_2d(arr), config)
-    out = np.array(y_hat)
-    return (out if batched else out[0]), diag
+    """Inference forward pass on a batch of lookback rows; returns (y_hat, Diagnostics)."""
+    y_hat, diag, _ = _forward(params, x, config)
+    return y_hat, diag
 
 
 def decompose(diagnostics: Diagnostics) -> np.ndarray:
@@ -305,13 +276,3 @@ def decompose(diagnostics: Diagnostics) -> np.ndarray:
     """
     return np.stack([f * diagnostics.scale[:, None] for f in diagnostics.forecasts])
 
-
-def forecast_series(params: dict, history, config: ModelConfig) -> np.ndarray:
-    """Forecast the next ``horizon`` months from the trailing lookback of ``history``."""
-    history = np.asarray(history, dtype=np.float64)
-    if history.size < config.lookback:
-        raise ValueError(
-            f"history of {history.size} months is shorter than the lookback {config.lookback}"
-        )
-    y_hat, _ = model_forward(params, history[-config.lookback :], config)
-    return y_hat

@@ -16,14 +16,14 @@ import numpy as np
 # Adam
 # ---------------------------------------------------------------------------
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's standard moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators plus the step counter."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -32,8 +32,8 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState):
     """One bias-corrected Adam update, applied in place. Returns (params, state)."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -45,11 +45,11 @@ def adam_step(params: dict, grads: dict, state: AdamState):
             m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params, state
 
 

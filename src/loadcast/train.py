@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetError, SplitSpec, StratifiedSampler, training_windows
+from .loss import _uses_l2
 from .model import ModelConfig, config_hash, init_params, loss_and_grad, model_forward
 from .nn import AdamState, adam_step
 
@@ -105,21 +106,7 @@ def load_checkpoint(path):
 
 def _loss_uses_row_variance(config: ModelConfig) -> bool:
     lc = config.loss_config()
-    return not lc.no_l2 and lc.nmse_weight > 0.0 and not lc.no_var
-
-
-def _guard_target_variance(window_groups, config: ModelConfig) -> None:
-    # Constant targets break the variance normalization; surface them here,
-    # at window-construction time, instead of mid-training.
-    if not _loss_uses_row_variance(config):
-        return
-    for group in window_groups:
-        for window in group:
-            if np.ptp(window.y) == 0.0:
-                raise DatasetError(
-                    f"series '{window.series_id}': training window at anchor {window.anchor} "
-                    "has a constant target; variance-normalized loss is undefined"
-                )
+    return _uses_l2(lc) and not lc.no_var
 
 
 def train_one(
@@ -132,22 +119,29 @@ def train_one(
     checkpoint_path=None,
 ) -> TrainedMember:
     """Train a single model; fully reproducible from (config, schedule, member_seed)."""
-    groups = training_windows(series_list, split_spec, config.lookback, config.horizon)
-    if not any(groups):
+    all_x, all_y, counts = training_windows(
+        series_list, split_spec, config.lookback, config.horizon
+    )
+    if not counts.any():
         raise DatasetError("datasets yield no training windows")
-    _guard_target_variance(groups, config)
+    offsets = np.cumsum(counts) - counts  # first row of each series
+    if _loss_uses_row_variance(config):
+        # Constant targets break the variance normalization; surface them here
+        # instead of mid-training.
+        flat = np.flatnonzero(np.ptp(all_y, axis=1) == 0.0)
+        if flat.size:
+            row = int(flat[0])
+            s = int(np.searchsorted(offsets, row, side="right")) - 1
+            raise DatasetError(
+                f"series '{series_list[s].id}': training window at anchor "
+                f"{config.lookback - 1 + row - offsets[s]} has a constant target; "
+                "variance-normalized loss is undefined"
+            )
 
     init_ss, sampler_ss = np.random.SeedSequence(member_seed).spawn(2)
     params = init_params(config, np.random.default_rng(init_ss))
-    sizes = [len(g) for g in groups]
-    sampler = StratifiedSampler(sizes, sampler_ss)
+    sampler = StratifiedSampler(counts, sampler_ss)
     state = AdamState(lr=schedule.lr)
-
-    # One gather per batch: the windows of all series stacked in series order.
-    windows = [w for g in groups for w in g]
-    all_x = np.stack([w.x for w in windows])
-    all_y = np.stack([w.y for w in windows])
-    offsets = np.cumsum([0] + sizes[:-1])
 
     trace = []
     first_batch_loss = None
@@ -298,7 +292,6 @@ def build_pool(
     split_spec: SplitSpec | None = None,
     out_dir=None,
     workers: int = 1,
-    resume: bool = True,
     extra_manifest: dict | None = None,
 ) -> Pool:
     """Train ``schedule.pool_size`` members; resumes from existing checkpoints.
@@ -317,7 +310,7 @@ def build_pool(
         out_path.mkdir(parents=True, exist_ok=True)
 
     members: list[TrainedMember | None] = [None] * schedule.pool_size
-    if out_path is not None and resume:
+    if out_path is not None:
         recorded = {}  # (index, seed) -> final_loss, from the prior manifest
         manifest_file = out_path / "manifest.json"
         if manifest_file.exists():

@@ -13,14 +13,8 @@ import pytest
 
 from loadcast.cli import main as cli_main
 from loadcast.data import SplitSpec, TimeSeries
-from loadcast.loss import LossConfig, combined_loss, nmse, pmape
-from loadcast.model import (
-    ModelConfig,
-    decompose,
-    forecast_series,
-    init_params,
-    model_forward,
-)
+from loadcast.loss import LossConfig, loss_components, nmse, pmape
+from loadcast.model import ModelConfig, decompose, init_params, model_forward
 from loadcast.evaluation import diebold_mariano, dm_decision, point_errors, series_metrics
 from loadcast.nn import grad_check
 from loadcast.train import TrainSchedule, train_one
@@ -86,7 +80,7 @@ def test_c2_loss_identities():
     mean_baseline_gap = abs(nmse(y, baseline) - 1.0)
 
     y_hat = y * rng.uniform(0.8, 1.2, size=y.shape)
-    bitwise = combined_loss(y, y_hat, LossConfig(tau=0.35, nmse_weight=0.0)) == pmape(
+    bitwise = loss_components(y, y_hat, LossConfig(tau=0.35, nmse_weight=0.0))["loss"] == pmape(
         y, y_hat, 0.35
     )
 
@@ -136,7 +130,9 @@ def test_c3_architecture_invariants():
 
     zero_params = zero_head_params(tiny_config())
     constant_ok = all(
-        np.array_equal(model_forward(zero_params, np.full(6, c), tiny_config())[0], np.full(3, c))
+        np.array_equal(
+            model_forward(zero_params, np.full((1, 6), c), tiny_config())[0], np.full((1, 3), c)
+        )
         for c in (0.25, 9.0, 31250.0)
     )
 
@@ -169,8 +165,8 @@ def test_c4_training_scale_invariance():
 
     base = train_one([series], config, schedule, 77, split_spec=split_spec)
     big = train_one([scaled], config, schedule, 77, split_spec=split_spec)
-    forecast_base = forecast_series(base.params, series.values, config)
-    forecast_big = forecast_series(big.params, scaled.values, config)
+    forecast_base, _ = model_forward(base.params, series.values[None, -config.lookback :], config)
+    forecast_big, _ = model_forward(big.params, scaled.values[None, -config.lookback :], config)
     rel = float(np.max(np.abs(forecast_big - 1000.0 * forecast_base) / np.abs(1000.0 * forecast_base)))
     report("C4", rel < 1e-6, f"k=1000 retraining: max relative forecast deviation {rel:.2e}")
 

@@ -6,7 +6,7 @@ import pytest
 
 from loadcast.cli import main
 from loadcast.data import load_dataset
-from loadcast.model import ModelConfig, forecast_series
+from loadcast.model import ModelConfig, model_forward
 from loadcast.train import load_checkpoint
 
 from helpers import dm_reference
@@ -155,7 +155,7 @@ def test_forecast_single_member_pool_matches_member(tmp_path, workspace):
     series = load_dataset(workspace["dataset"], min_length=18)
     target = [s for s in series if s.id == "S00"][0]
     cfg = ModelConfig.from_dict(json.loads((tmp_path / "pool1" / "manifest.json").read_text())["config"])
-    want = forecast_series(params, target.values, cfg)
+    want = model_forward(params, target.values[None, -cfg.lookback :], cfg)[0][0]
     got = np.array([float(r[3]) for r in rows])
     assert np.array_equal(got, want)
 

@@ -12,7 +12,6 @@ from loadcast.data import (
     TimeSeries,
     evaluation_windows,
     load_dataset,
-    make_windows,
     split,
     synthetic_dataset,
     training_windows,
@@ -151,8 +150,9 @@ def test_split_reconstruction():
 
 
 def test_split_too_short_for_training_window():
+    # 20 months cannot hold the 24 held-out months of the default split
     with pytest.raises(DatasetError, match="too short"):
-        split(make_series(35), min_train=12 + 12)
+        split(make_series(20))
 
 
 def test_split_merged_validation_mode():
@@ -167,44 +167,55 @@ def test_split_merged_validation_mode():
 # ---------------------------------------------------------------------------
 
 def test_window_counts():
-    ts = make_series(60)
-    assert len(make_windows(ts, (0, 36), 12, 12)) == 13
-    assert len(make_windows(ts, (0, 24), 12, 12)) == 1
-    assert len(make_windows(ts, (0, 23), 12, 12)) == 0
-    with pytest.raises(DatasetError):
-        make_windows(ts, (0, 23), 12, 12, allow_empty=False)
+    # training regions of 36, 24 and 23 months (60, 48 and 47 months minus 24 held out)
+    series = [make_series(60, "A"), make_series(48, "B"), make_series(47, "C")]
+    x, y, counts = training_windows(series, SplitSpec(), 12, 12)
+    assert counts.tolist() == [13, 1, 0]
+    assert x.shape == (14, 12) and y.shape == (14, 12)
 
 
 def test_window_roundtrip_reslices_source():
+    spec = SplitSpec(test_months=0, val_months=0)  # the whole series is the training region
     for seed in range(3):
         series = synthetic_dataset(2, 50, seed=seed)
-        for ts in series:
-            for w in make_windows(ts, (0, len(ts)), 7, 4):
-                assert np.array_equal(w.x, ts.values[w.anchor - 6 : w.anchor + 1])
-                assert np.array_equal(w.y, ts.values[w.anchor + 1 : w.anchor + 5])
-                assert w.x.max() > 0
+        x, y, counts = training_windows(series, spec, 7, 4)
+        assert counts.tolist() == [40, 40]
+        for row in range(len(x)):
+            ts, anchor = series[row // 40], 6 + row % 40
+            assert np.array_equal(x[row], ts.values[anchor - 6 : anchor + 1])
+            assert np.array_equal(y[row], ts.values[anchor + 1 : anchor + 5])
+            assert x[row].max() > 0
 
 
 def test_no_leakage_into_validation_or_test():
     series = synthetic_dataset(5, 72, seed=2)
     spec = SplitSpec()
-    for ts, windows in zip(series, training_windows(series, spec)):
-        regions = split(ts, spec)
-        for w in windows:
-            assert w.anchor + 12 <= regions.train[1]  # target ends inside train
-            assert w.anchor - 11 >= 0
+    x, y, counts = training_windows(series, spec)
+    first = 0
+    for ts, count in zip(series, counts):
+        train_stop = split(ts, spec).train[1]
+        for k in range(count):
+            anchor = 11 + k  # the training region starts at offset 0
+            assert anchor + 12 <= train_stop  # target ends inside train
+            assert anchor - 11 >= 0
+            assert np.array_equal(x[first + k], ts.values[anchor - 11 : anchor + 1])
+            assert np.array_equal(y[first + k], ts.values[anchor + 1 : anchor + 13])
+        first += count
+    assert first == len(x)
 
 
 def test_evaluation_windows_positions():
     series = synthetic_dataset(3, 60, seed=1)
-    wins = evaluation_windows(series, SplitSpec(), 12, 12, region="test")
-    for ts, w in zip(series, wins):
-        assert np.array_equal(w.x, ts.values[36:48])
-        assert np.array_equal(w.y, ts.values[48:60])
-    wins_val = evaluation_windows(series, SplitSpec(), 12, 12, region="val")
-    for ts, w in zip(series, wins_val):
-        assert np.array_equal(w.x, ts.values[24:36])
-        assert np.array_equal(w.y, ts.values[36:48])
+    x, y, starts = evaluation_windows(series, SplitSpec(), 12, 12, region="test")
+    assert starts == [48, 48, 48]
+    for i, ts in enumerate(series):
+        assert np.array_equal(x[i], ts.values[36:48])
+        assert np.array_equal(y[i], ts.values[48:60])
+    x, y, starts = evaluation_windows(series, SplitSpec(), 12, 12, region="val")
+    assert starts == [36, 36, 36]
+    for i, ts in enumerate(series):
+        assert np.array_equal(x[i], ts.values[24:36])
+        assert np.array_equal(y[i], ts.values[36:48])
     with pytest.raises(DatasetError, match="horizon"):
         evaluation_windows(series, SplitSpec(test_months=10), 12, 12, region="test")
 

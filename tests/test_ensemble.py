@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loadcast.data import SplitSpec, Window
+from loadcast.data import SplitSpec
 from loadcast.ensemble import (
     EnsembleSpec,
     aggregate_forecasts,
@@ -31,14 +31,14 @@ def make_pool(n_members, seed0=0, identical=False):
 
 
 def make_windows_fixture(n_series=3, seed=0):
+    """(lookback rows, target rows, series ids): one evaluation row per series."""
     rng = np.random.default_rng(seed)
-    windows = []
+    x, y = np.empty((n_series, 6)), np.empty((n_series, 3))
     for i in range(n_series):
         base = 100.0 * (i + 1)
-        x = base * rng.uniform(0.8, 1.2, size=6)
-        y = base * rng.uniform(0.8, 1.2, size=3)
-        windows.append(Window(x=x, y=y, series_id=f"W{i}", anchor=5))
-    return windows
+        x[i] = base * rng.uniform(0.8, 1.2, size=6)
+        y[i] = base * rng.uniform(0.8, 1.2, size=3)
+    return x, y, [f"W{i}" for i in range(n_series)]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_median_aggregation_is_elementwise_monotone():
 def test_single_trial_report_equals_averaged_report():
     pool = make_pool(3)
     spec = EnsembleSpec(ensemble_size=2, trials=1, seed=3)
-    report = run_trials(pool, spec, make_windows_fixture())
+    report = run_trials(pool, spec, *make_windows_fixture())
     only = report.per_trial[0].aggregate_summary()
     for name, value in report.averaged.items():
         assert value == pytest.approx(only[name], rel=1e-15)
@@ -138,7 +138,7 @@ def test_single_trial_report_equals_averaged_report():
 def test_identical_members_have_zero_trial_variance():
     pool = make_pool(5, identical=True)
     spec = EnsembleSpec(ensemble_size=3, trials=8, seed=0)
-    report = run_trials(pool, spec, make_windows_fixture())
+    report = run_trials(pool, spec, *make_windows_fixture())
     for name in report.averaged:
         assert report.spread[name]["std"] == 0.0
 
@@ -146,19 +146,19 @@ def test_identical_members_have_zero_trial_variance():
 def test_perfect_oracle_hook_gives_zero_metrics():
     pool = make_pool(4)
     spec = EnsembleSpec(ensemble_size=3, trials=5, seed=2)
-    report = run_trials(pool, spec, make_windows_fixture(), forecast_fn=lambda m, w: w.y)
+    x, y, ids = make_windows_fixture()
+    report = run_trials(pool, spec, x, y, ids, forecast_fn=lambda m, rows: y)
     for name in ("mape", "medape", "iqr_ape", "rmse", "mpe"):
         assert report.averaged[name] == 0.0
-    windows = make_windows_fixture()
-    assert np.allclose(report.mean_forecast, np.stack([w.y for w in windows]), rtol=1e-15)
+    assert np.allclose(report.mean_forecast, y, rtol=1e-15)
 
 
 def test_run_trials_end_to_end_finite_and_deterministic():
     pool = make_pool(6)
     spec = EnsembleSpec(ensemble_size=4, trials=6, seed=9)
     windows = make_windows_fixture()
-    a = run_trials(pool, spec, windows)
-    b = run_trials(pool, spec, windows)
+    a = run_trials(pool, spec, *windows)
+    b = run_trials(pool, spec, *windows)
     assert a.averaged == b.averaged
     assert all(np.isfinite(v) for v in a.averaged.values())
     assert set(a.per_series_averaged) == {"W0", "W1", "W2"}
@@ -166,8 +166,10 @@ def test_run_trials_end_to_end_finite_and_deterministic():
 
 def test_member_forecast_matrix_shape_and_hook():
     pool = make_pool(2)
-    windows = make_windows_fixture()
-    matrix = member_forecast_matrix(pool, windows, forecast_fn=lambda m, w: w.y * 0 + m.seed)
+    x, _, _ = make_windows_fixture()
+    matrix = member_forecast_matrix(
+        pool, x, forecast_fn=lambda m, rows: np.full((len(rows), 3), m.seed)
+    )
     assert matrix.shape == (2, 3, 3)
     assert np.all(matrix[0] == pool.members[0].seed)
     assert np.all(matrix[1] == pool.members[1].seed)
@@ -176,11 +178,14 @@ def test_member_forecast_matrix_shape_and_hook():
 def test_run_trials_validates_inputs():
     pool = make_pool(2)
     with pytest.raises(ValueError, match="windows"):
-        run_trials(pool, EnsembleSpec(), [])
+        run_trials(pool, EnsembleSpec(), np.empty((0, 6)), np.empty((0, 3)), [])
+    x, y, _ = make_windows_fixture()
+    with pytest.raises(ValueError, match="one evaluation row per series"):
+        run_trials(pool, EnsembleSpec(), x, y, ["W0", "W0", "W1"])
     empty = make_pool(2)
     empty.members = []
     with pytest.raises(ValueError, match="empty pool"):
-        run_trials(empty, EnsembleSpec(), make_windows_fixture())
+        run_trials(empty, EnsembleSpec(), *make_windows_fixture())
 
 
 def test_spec_validation():

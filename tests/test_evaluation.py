@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from loadcast.baselines import seasonal_naive
 from loadcast.evaluation import (
     aggregate_metrics,
     diebold_mariano,
@@ -14,6 +15,18 @@ from loadcast.evaluation import (
 )
 
 from helpers import dm_reference
+
+
+# ---------------------------------------------------------------------------
+# Seasonal-naive baseline
+# ---------------------------------------------------------------------------
+
+def test_seasonal_naive_repeats_the_last_twelve_months():
+    history = np.arange(1.0, 31.0)
+    expected = np.concatenate([np.arange(19.0, 31.0), [19.0, 20.0]])
+    assert np.array_equal(seasonal_naive(history, 14), expected)
+    with pytest.raises(ValueError, match="12 months"):
+        seasonal_naive(history[:11], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from loadcast.loss import (
     LossConfig,
-    combined_loss,
     loss_components,
     loss_gradients,
     nmse,
@@ -107,10 +106,10 @@ def test_combined_equals_pmape_when_weight_zero():
     y = positive_batch(rng, (3, 4))
     y_hat = y * rng.uniform(0.8, 1.2, size=y.shape)
     config = LossConfig(tau=0.35, nmse_weight=0.0)
-    assert combined_loss(y, y_hat, config) == pmape(y, y_hat, 0.35)
+    assert loss_components(y, y_hat, config)["loss"] == pmape(y, y_hat, 0.35)
     # constant rows are fine when the L2 term is off
     y_const = np.full((1, 3), 8.0)
-    assert combined_loss(y_const, y_const * 1.1, config) > 0.0
+    assert loss_components(y_const, y_const * 1.1, config)["loss"] > 0.0
 
 
 def test_combined_no_l2_ignores_weight():
@@ -118,13 +117,13 @@ def test_combined_no_l2_ignores_weight():
     y = positive_batch(rng, (2, 6))
     y_hat = y * 1.07
     config = LossConfig(tau=0.35, nmse_weight=0.35, no_l2=True)
-    assert combined_loss(y, y_hat, config) == pmape(y, y_hat, 0.35)
+    assert loss_components(y, y_hat, config)["loss"] == pmape(y, y_hat, 0.35)
 
 
 def test_combined_hand_case_and_constant_row_error():
     config = LossConfig(tau=0.35, nmse_weight=0.35)
     with pytest.raises(ValueError, match="row 0"):
-        combined_loss([[100.0, 100.0]], [[90.0, 110.0]], config)
+        loss_components([[100.0, 100.0]], [[90.0, 110.0]], config)
 
     # finite case, expected value from the defining formulas evaluated directly
     y = np.array([[100.0, 200.0]])
@@ -132,7 +131,7 @@ def test_combined_hand_case_and_constant_row_error():
     expected_pinball = np.where(y >= y_hat, 0.35, -0.65) * (y - y_hat) / y
     expected_nmse = (y - y_hat) ** 2 / y.var(axis=1)
     expected = expected_pinball.mean() + 0.35 * expected_nmse.mean()
-    assert combined_loss(y, y_hat, config) == pytest.approx(expected, rel=1e-15)
+    assert loss_components(y, y_hat, config)["loss"] == pytest.approx(expected, rel=1e-15)
 
 
 def test_scale_invariance_of_both_components():
@@ -179,9 +178,9 @@ def test_gradients_match_finite_differences_away_from_kinks():
         for idx in np.ndindex(y_hat.shape):
             bumped = y_hat.copy()
             bumped[idx] += h
-            up = combined_loss(y, bumped, config)
+            up = loss_components(y, bumped, config)["loss"]
             bumped[idx] -= 2 * h
-            down = combined_loss(y, bumped, config)
+            down = loss_components(y, bumped, config)["loss"]
             fd = (up - down) / (2 * h)
             assert abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx])) < 1e-6, (config, idx)
 
@@ -206,9 +205,9 @@ def test_graph_components_log_actual_contributions():
     parts = loss_components(y, y_hat, config)
     assert parts["nmse"] == nmse(y, y_hat)
     assert parts["nmse_term"] == pytest.approx(0.35 * parts["nmse"], rel=1e-15)
-    assert parts["loss"] == parts["pmape"] + parts["nmse_term"] == combined_loss(y, y_hat, config)
+    assert parts["loss"] == parts["pmape"] + parts["nmse_term"]
 
     config = LossConfig(0.35, 0.35, no_l2=True)
     parts = loss_components(y, y_hat, config)
     assert parts["nmse"] is None and parts["nmse_term"] == 0.0
-    assert parts["loss"] == parts["pmape"] == pmape(y, y_hat, 0.35) == combined_loss(y, y_hat, config)
+    assert parts["loss"] == parts["pmape"] == pmape(y, y_hat, 0.35)

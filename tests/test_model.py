@@ -5,7 +5,6 @@ from loadcast.model import (
     ModelConfig,
     config_hash,
     decompose,
-    forecast_series,
     init_params,
     loss_and_grad,
     model_forward,
@@ -49,17 +48,17 @@ def test_config_roundtrip_and_hash():
 # ---------------------------------------------------------------------------
 
 def test_normalize_examples():
-    normed, scale = normalize_input([2.0, 4.0])
-    assert np.array_equal(normed, [0.5, 1.0]) and scale == 4.0
+    normed, scale = normalize_input(np.array([[2.0, 4.0]]))
+    assert np.array_equal(normed, [[0.5, 1.0]]) and np.array_equal(scale, [4.0])
 
-    normed, scale = normalize_input([3.0, 3.0, 3.0])
-    assert np.array_equal(normed, [1.0, 1.0, 1.0]) and scale == 3.0
+    normed, scale = normalize_input(np.array([[3.0, 3.0, 3.0]]))
+    assert np.array_equal(normed, [[1.0, 1.0, 1.0]]) and np.array_equal(scale, [3.0])
 
-    normed, _ = normalize_input([0.0, 2.0, 0.0])
-    assert np.array_equal(normed, [0.0, 1.0, 0.0])
+    normed, _ = normalize_input(np.array([[0.0, 2.0, 0.0]]))
+    assert np.array_equal(normed, [[0.0, 1.0, 0.0]])
 
     with pytest.raises(ValueError, match="positive"):
-        normalize_input([-1.0, -2.0])
+        normalize_input(np.array([[-1.0, -2.0]]))
 
 
 def test_normalized_ceiling_is_exactly_one():
@@ -116,23 +115,23 @@ def test_zero_head_model_matches_independent_trace():
             cfg = tiny_config(lookback=lookback, horizon=4, blocks=blocks, ablation=ablation)
             params = zero_head_params(cfg)
             x = np.linspace(1.0, 3.0, lookback)
-            y_hat, _ = model_forward(params, x, cfg)
+            y_hat, _ = model_forward(params, x[None], cfg)
             reference = zero_head_reference(x, cfg)
-            assert np.allclose(y_hat, reference, rtol=1e-14, atol=0)
+            assert np.allclose(y_hat[0], reference, rtol=1e-14, atol=0)
 
 
 def test_constant_series_zero_heads_forecast_exactly_c():
     cfg = tiny_config()
     params = zero_head_params(cfg)
     for c in (0.5, 7.0, 1234.5):
-        y_hat, _ = model_forward(params, np.full(6, c), cfg)
-        assert np.array_equal(y_hat, np.full(3, c))
+        y_hat, _ = model_forward(params, np.full((1, 6), c), cfg)
+        assert np.array_equal(y_hat, np.full((1, 3), c))
 
 
 def test_single_block_reduces_to_one_destandardized_head():
     cfg = tiny_config(blocks=1, sharing=True)
     params = init_params(cfg, 8)
-    x = np.array([10.0, 40.0, 25.0, 30.0, 15.0, 20.0])
+    x = np.array([[10.0, 40.0, 25.0, 30.0, 15.0, 20.0]])
     y_hat, _ = model_forward(params, x, cfg)
 
     normed, scale = normalize_input(x)
@@ -197,7 +196,7 @@ def test_sharing_uses_one_parameter_set():
     params = init_params(cfg, 1)
     assert all(name.startswith("shared.") for name in params)
 
-    x = np.array([1.0, 2.0, 1.5, 1.8, 1.2, 2.2])
+    x = np.array([[1.0, 2.0, 1.5, 1.8, 1.2, 2.2]])
     _, before = model_forward(params, x, cfg)
     params["shared.fc0.W"] = params["shared.fc0.W"] + 0.05
     _, after = model_forward(params, x, cfg)
@@ -210,7 +209,7 @@ def test_unshared_blocks_are_independent_parameters():
     params = init_params(cfg, 1)
     assert {name.split(".")[0] for name in params} == {"block0", "block1", "block2"}
 
-    x = np.array([1.0, 2.0, 1.5, 1.8, 1.2, 2.2])
+    x = np.array([[1.0, 2.0, 1.5, 1.8, 1.2, 2.2]])
     _, before = model_forward(params, x, cfg)
     params["block2.forecast.b"] = params["block2.forecast.b"] + 0.5
     _, after = model_forward(params, x, cfg)
@@ -235,29 +234,11 @@ def test_gradient_flows_to_first_block():
     assert block0_norm > 0.0
 
 
-def test_forecast_series_uses_trailing_lookback():
-    cfg = tiny_config()
-    params = init_params(cfg, 3)
-    history = np.linspace(50.0, 90.0, 30)
-    direct, _ = model_forward(params, history[-6:], cfg)
-    assert np.array_equal(forecast_series(params, history, cfg), direct)
-    with pytest.raises(ValueError, match="shorter"):
-        forecast_series(params, history[:3], cfg)
-
-
 def test_forward_graph_input_validation():
     cfg = tiny_config()
     params = init_params(cfg, 3)
     with pytest.raises(ValueError, match="shape"):
         model_forward(params, np.ones((2, 5)), cfg)
+    with pytest.raises(ValueError, match="shape"):
+        model_forward(params, np.ones(6), cfg)  # one row must come as a batch of one
 
-
-def test_diagnostics_serialize_to_json():
-    import json
-
-    cfg = tiny_config(blocks=2)
-    params = init_params(cfg, 3)
-    _, diag = model_forward(params, np.array([4.0, 8.0, 6.0, 5.0, 7.0, 9.0]), cfg)
-    doc = json.loads(json.dumps(diag.to_dict()))
-    assert len(doc["forecasts"]) == 2
-    assert doc["forecast_total"] is not None

@@ -67,6 +67,21 @@ def test_constant_target_window_is_surfaced_before_training():
     assert np.isfinite(member.final_loss)
 
 
+def test_constant_target_names_its_series_and_anchor():
+    # SHORT hosts no training window (8 training months < 6 + 3); in RAMP only
+    # the window anchored at offset 19 has a constant target, values[20:23]
+    short = TimeSeries("SHORT", (2020, 1), np.linspace(10.0, 20.0, 14))
+    values = np.linspace(100.0, 200.0, 42)
+    values[20:23] = values[20]
+    ramp = TimeSeries("RAMP", (2020, 1), values)
+    with pytest.raises(DatasetError, match="series 'RAMP': training window at anchor 19 "):
+        train_one([short, ramp], tiny_config(), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT)
+    # rows of a series with windows before them shift RAMP's rows, not its anchors
+    with pytest.raises(DatasetError, match="series 'RAMP': training window at anchor 19 "):
+        train_one([tiny_dataset(1)[0], short, ramp], tiny_config(), TINY_SCHEDULE, 1,
+                  split_spec=TINY_SPLIT)
+
+
 def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
     def poisoned(config, seed=None):
         params = init_params(config, seed)
@@ -125,7 +140,7 @@ def test_pool_members_differ(tmp_path):
     b = pool.members[1].load_params()
     assert any(not np.array_equal(a[n], b[n]) for n in a)
 
-    x = tiny_dataset()[0].values[-9:-3]
+    x = tiny_dataset()[0].values[None, -9:-3]
     fa, _ = model_forward(a, x, pool.config)
     fb, _ = model_forward(b, x, pool.config)
     assert np.max(np.abs(fa - fb)) > 0.0
