@@ -4,10 +4,11 @@ Runs ``synth``, ``train`` (with shared and with per-block weights),
 ``evaluate`` (test and val, and the per-block pool on test), ``dm-test``
 (absolute loss at the default horizon, and squared loss at horizon 1),
 ``forecast`` (with a block decomposition), ``ablate`` and ``sweep`` at a tiny
-config and compares every output file and the commands' stdout byte for byte
-with the files under ``tests/golden/``. The only field ignored is
-``created_at``. Checkpoints are compared by their sha256 digest, listed in
-``tests/golden/checkpoints.sha256``.
+config. It then trains a pool on 16 series and evaluates it with 100 trials of
+64 members, enough to expose the summation order of the metrics. It compares
+every output file and the commands' stdout byte for byte with the files under
+``tests/golden/``. The only field ignored is ``created_at``. Checkpoints are
+compared by their sha256 digest, listed in ``tests/golden/checkpoints.sha256``.
 
 The golden files pin float64 results of this numpy/BLAS build. To rewrite them
 (only for a change that is meant to alter the outputs), run
@@ -56,6 +57,11 @@ COMMANDS = [
      "--aggregation", "mean", "--trial-index", "1", "--out", "forecast_mean.csv"],
     ["ablate", "--config", "config.json", "--out-dir", "ablation"],
     ["sweep", "--config", "config.json", "--grid", "grid.json", "--out-dir", "sweep"],
+    ["synth", "--out", "data16.csv", "--series", "16", "--months", "60", "--seed", "1"],
+    ["train", "--config", "config.json", "--set", "dataset=data16.csv",
+     "--set", "output_dir=pool16"],
+    ["evaluate", "--manifest", "pool16/manifest.json", "--trials", "100", "--ensemble-size", "64",
+     "--out-dir", "eval_many"],
 ]
 
 _CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
