@@ -22,7 +22,6 @@ from .data import (
 from .ensemble import EnsembleSpec, aggregate_forecasts, run_trials
 from .evaluation import (
     DMResult,
-    MetricsReport,
     aggregate_metrics,
     diebold_mariano,
     dm_decision,
@@ -38,7 +37,7 @@ from .model import (
     model_forward,
     normalize_input,
 )
-from .nn import AdamState, adam_step, grad_check
+from .nn import AdamState, adam_step
 from .train import Pool, TrainSchedule, TrainedMember, build_pool, load_pool, train_one
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from . import data
 from .baselines import PERIOD, seasonal_naive
 from .ensemble import EnsembleSpec, aggregate_forecasts, draw_member_indices, run_trials
 from .evaluation import (
-    SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, point_errors,
+    SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, per_series_table,
+    point_errors,
 )
 from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose, model_forward
 from .train import TrainSchedule, build_pool, load_pool
@@ -333,14 +334,23 @@ def cmd_forecast(args) -> int:
 
 
 def _baseline_report(series_list, starts, y):
-    """Seasonal-naive scores of the target rows ``y``, which start at ``starts``;
-    None when some series has less than one seasonal period of history before its start."""
+    """Seasonal-naive scores of the target rows ``y``, which start at ``starts``,
+    with the series in id order as ``load_dataset`` returns them; None when some
+    series has less than one seasonal period of history before its start."""
     if min(starts) < PERIOD:
         return None
-    return aggregate_metrics({
-        s.id: point_errors(actual, seasonal_naive(s.values[:start], actual.size))
-        for s, start, actual in zip(series_list, starts, y)
-    })
+    horizon = y.shape[1]
+    naive = [seasonal_naive(s.values[:start], horizon) for s, start in zip(series_list, starts)]
+    scores = aggregate_metrics(y, np.array(naive)[None])
+    return {
+        "per_series": per_series_table(
+            [s.id for s in series_list], {name: scores[name][0] for name in SERIES_METRICS},
+            horizon,
+        ),
+        "aggregate": {name: float(vals[0]) for name, vals in scores["aggregate"].items()},
+        "n_series": len(series_list),
+        "n_points": int(y.size),
+    }
 
 
 def cmd_evaluate(args) -> int:
@@ -361,7 +371,7 @@ def cmd_evaluate(args) -> int:
             "meta": _meta(cfg_hash, master_seed, dataset=str(dataset), split=args.split,
                           model_label=args.label),
             "metrics": report.to_dict(),
-            "baseline_seasonal_naive": baseline.to_dict() if baseline else None,
+            "baseline_seasonal_naive": baseline,
         },
     )
 
@@ -376,8 +386,9 @@ def cmd_evaluate(args) -> int:
     with errors_fh, pe_fh:
         errors.writerow(["series_id", "year", "month", "actual", "forecast", "error"])
         pes.writerow(["series_id", "year", "month", "pe"])
-        for s, start, target, forecast in zip(series_list, starts, y, report.mean_forecast):
-            pe = point_errors(target, forecast).pe
+        all_pe = point_errors(y, report.mean_forecast)
+        for s, start, target, forecast, pe in zip(series_list, starts, y, report.mean_forecast,
+                                                  all_pe):
             for j, (actual, predicted) in enumerate(zip(target, forecast)):
                 year, month = s.month_at(start + j)
                 errors.writerow([s.id, year, month, repr(float(actual)), repr(float(predicted)),
@@ -391,7 +402,7 @@ def cmd_evaluate(args) -> int:
         f"MPE {agg['mpe']:+.3f}"
     )
     if baseline:
-        print(f"seasonal-naive MAPE {baseline.aggregate['mape']:.3f}")
+        print(f"seasonal-naive MAPE {baseline['aggregate']['mape']:.3f}")
     print(f"reports in {out_dir}")
     return 0
 
@@ -458,26 +469,39 @@ def _read_errors_csv(path) -> tuple[dict, str | None]:
         if row and row[0].lstrip().startswith("#"):
             provenance = ",".join(row).lstrip("# ")
             break
-    rows = [r for r in raw if r and not r[0].lstrip().startswith("#")]
+    rows = [(n, r) for n, r in enumerate(raw, start=1)
+            if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise ConfigError(f"{path}: empty errors file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     try:
-        sid_col = header.index("series_id")
-        year_col = header.index("year")
-        month_col = header.index("month")
-        err_col = header.index("error")
+        columns = [header.index(name) for name in ("series_id", "year", "month", "error")]
     except ValueError:
         raise ConfigError(
             f"{path}: errors file needs columns series_id, year, month, error"
         ) from None
-    for row in rows[1:]:
-        key = (row[sid_col], int(row[year_col]), int(row[month_col]))
-        out[key] = float(row[err_col])
+    for line, row in rows[1:]:
+        try:
+            sid, year, month, error = (row[c] for c in columns)
+            key, value = (sid, int(year), int(month)), float(error)
+        except (IndexError, ValueError):
+            raise ConfigError(
+                f"{path}: line {line}: expected a series id, an integer year and month, "
+                f"and a numeric error, got {','.join(row)!r}"
+            ) from None
+        if key in out:
+            raise ConfigError(
+                f"{path}: line {line}: duplicate row for series '{sid}' {key[1]}-{key[2]:02d}"
+            )
+        out[key] = value
     return out, provenance
 
 
 def cmd_dm_test(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.horizon < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     errors_a, provenance_a = _read_errors_csv(args.errors_a)
     errors_b, provenance_b = _read_errors_csv(args.errors_b)
     if errors_a.keys() != errors_b.keys():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import MetricsReport, REPORT_METRICS, aggregate_metrics, point_errors
+from .evaluation import REPORT_METRICS, SERIES_METRICS, aggregate_metrics, per_series_table
 from .model import model_forward
 
 AGGREGATIONS = ("median", "mean")
@@ -77,7 +77,7 @@ class TrialsReport:
     """Per-trial metrics plus their across-trial mean and spread."""
 
     spec: EnsembleSpec
-    per_trial: list[MetricsReport]
+    per_trial: list[dict]  # REPORT_METRICS of each trial
     averaged: dict
     spread: dict
     per_series_averaged: dict
@@ -92,7 +92,7 @@ class TrialsReport:
             "averaged": self.averaged,
             "spread": self.spread,
             "per_series": self.per_series_averaged,
-            "per_trial": [r.aggregate_summary() for r in self.per_trial],
+            "per_trial": self.per_trial,
         }
 
 
@@ -106,19 +106,16 @@ def run_trials(pool, spec: EnsembleSpec, x, y, series_ids, forecast_fn=None) -> 
     if len(set(series_ids)) != len(y):
         raise ValueError("need exactly one evaluation row per series id")
     matrix = member_forecast_matrix(pool, x, forecast_fn)
-    reports: list[MetricsReport] = []
-    forecast_sum = np.zeros(matrix.shape[1:], dtype=np.float64)
+    forecasts = np.empty((spec.trials, *matrix.shape[1:]))
     for trial in range(spec.trials):
         indices = draw_member_indices(len(pool.members), spec, trial)
-        aggregated = aggregate_forecasts(matrix[indices], spec.aggregation)
-        forecast_sum += aggregated
-        reports.append(aggregate_metrics(
-            {sid: point_errors(actual, f) for sid, actual, f in zip(series_ids, y, aggregated)}
-        ))
+        forecasts[trial] = aggregate_forecasts(matrix[indices], spec.aggregation)
 
-    values = {
-        name: np.array([r.aggregate_summary()[name] for r in reports]) for name in REPORT_METRICS
-    }
+    # score the series in id order
+    ids = list(series_ids)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    scores = aggregate_metrics(np.take(y, order, axis=0), np.take(forecasts, order, axis=1))
+    values = scores["aggregate"]
     averaged = {name: float(vals.mean()) for name, vals in values.items()}
     spread = {
         name: {
@@ -127,19 +124,20 @@ def run_trials(pool, spec: EnsembleSpec, x, y, series_ids, forecast_fn=None) -> 
         }
         for name, vals in values.items()
     }
-    series_ids = reports[0].per_series.keys()
-    per_series_averaged = {
-        sid: {
-            metric: float(np.mean([r.per_series[sid][metric] for r in reports]))
-            for metric in reports[0].per_series[sid]
-        }
-        for sid in series_ids
+    # each series' mean over trials, reduced along a contiguous trial axis
+    series_means = {
+        name: np.ascontiguousarray(scores[name].T).mean(axis=-1) for name in SERIES_METRICS
     }
+    per_series_averaged = per_series_table(
+        [ids[i] for i in order], series_means, float(np.shape(y)[1])
+    )
     return TrialsReport(
         spec=spec,
-        per_trial=reports,
+        per_trial=[
+            {name: float(values[name][t]) for name in REPORT_METRICS} for t in range(spec.trials)
+        ],
         averaged=averaged,
         spread=spread,
         per_series_averaged=per_series_averaged,
-        mean_forecast=forecast_sum / spec.trials,
+        mean_forecast=forecasts.sum(axis=0) / spec.trials,
     )

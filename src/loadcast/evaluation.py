@@ -16,112 +16,84 @@ SERIES_METRICS = ("medape", "mape", "iqr_ape", "rmse", "mpe")
 REPORT_METRICS = SERIES_METRICS + ("mpe_skewness", "mpe_kurtosis")
 
 
-@dataclass(frozen=True)
-class PointErrors:
-    """Per-point absolute percentage, percentage, and squared errors."""
+def point_errors(y, y_hat) -> np.ndarray:
+    """Percentage errors of forecasts ``y_hat`` against actuals ``y``.
 
-    ape: np.ndarray
-    pe: np.ndarray
-    se: np.ndarray
-
-
-def point_errors(y, y_hat) -> PointErrors:
+    ``y_hat`` has the shape of ``y``, optionally behind leading axes (trials).
+    """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
+    if y_hat.shape[y_hat.ndim - y.ndim:] != y.shape:
         raise ValueError(f"shape mismatch: actuals {y.shape} vs forecasts {y_hat.shape}")
     if np.any(y <= 0.0):
         raise ValueError("percentage errors require strictly positive actuals")
-    pe = 100.0 * (y - y_hat) / y
-    return PointErrors(ape=np.abs(pe), pe=pe, se=(y - y_hat) ** 2)
+    return 100.0 * (y - y_hat) / y
 
 
-def skewness(x) -> float:
-    """Moment-based skewness; 0.0 for zero-spread samples."""
+def _standardized_moment(x, k: int):
+    """k-th central moment over m2 ** (k/2) along the last axis; 0.0 where the spread is 0."""
     x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 == 0.0:
-        return 0.0
-    return float(np.mean(centered**3) / m2**1.5)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    m2 = np.mean(centered**2, axis=-1)
+    mk = np.mean(centered**k, axis=-1)
+    # one scalar power per sample: numpy's array power can differ from it in the last bit
+    denom = np.reshape([m ** (k / 2) for m in np.ravel(m2).tolist()], m2.shape)
+    return np.divide(mk, denom, out=np.zeros_like(mk), where=m2 != 0.0)[()]
 
 
-def kurtosis(x) -> float:
-    """Moment-based kurtosis, non-excess (Gaussian = 3); 0.0 for zero-spread samples."""
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 == 0.0:
-        return 0.0
-    return float(np.mean(centered**4) / m2**2)
+def skewness(x):
+    """Moment-based skewness along the last axis; 0.0 for zero-spread samples."""
+    return _standardized_moment(x, 3)
 
 
-def series_metrics(errors: PointErrors) -> dict:
-    """MedAPE/MAPE/IQR-APE/RMSE/MPE for one series' pooled points.
+def kurtosis(x):
+    """Moment-based kurtosis along the last axis, non-excess (Gaussian = 3);
+    0.0 for zero-spread samples."""
+    return _standardized_moment(x, 4)
 
-    Quartiles use linear interpolation between order statistics.
+
+def aggregate_metrics(y, y_hat) -> dict:
+    """Score forecasts ``y_hat`` (trials, series, H) against actuals ``y`` (series, H).
+
+    Returns each of ``SERIES_METRICS`` as a (trials, series) array, plus an
+    ``aggregate`` dict of (trials,) arrays: the unweighted mean of each series
+    metric over series, and the skewness/kurtosis of the percentage errors
+    pooled over every series and point, in row order. Quartiles interpolate
+    linearly between order statistics.
     """
-    q1, q3 = np.quantile(errors.ape, [0.25, 0.75])
+    # C order fixes the summation order of every reduction below, whatever the input layout
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    y_hat = np.ascontiguousarray(y_hat, dtype=np.float64)
+    if y.ndim != 2 or y.size == 0:
+        raise ValueError(f"need actuals of shape (series, H), got {y.shape}")
+    if y_hat.ndim != 3 or len(y_hat) == 0:
+        raise ValueError(f"need forecasts of shape (trials, series, H), got {y_hat.shape}")
+    pe = point_errors(y, y_hat)
+    ape = np.abs(pe)
+    q1, q3 = np.quantile(ape, [0.25, 0.75], axis=-1)
+    scores = {
+        "medape": np.median(ape, axis=-1),
+        "mape": ape.mean(axis=-1),
+        "iqr_ape": q3 - q1,
+        "rmse": np.sqrt(((y - y_hat) ** 2).mean(axis=-1)),
+        "mpe": pe.mean(axis=-1),
+    }
+    pooled = pe.reshape(len(pe), -1)
+    scores["aggregate"] = {
+        **{name: scores[name].mean(axis=-1) for name in SERIES_METRICS},
+        "mpe_skewness": skewness(pooled),
+        "mpe_kurtosis": kurtosis(pooled),
+    }
+    return scores
+
+
+def per_series_table(series_ids, columns: dict, n_points) -> dict:
+    """``{series id: {metric: value, "n_points": n_points}}`` from per-series
+    columns of ``SERIES_METRICS``, indexed like ``series_ids``."""
     return {
-        "medape": float(np.median(errors.ape)),
-        "mape": float(errors.ape.mean()),
-        "iqr_ape": float(q3 - q1),
-        "rmse": float(np.sqrt(errors.se.mean())),
-        "mpe": float(errors.pe.mean()),
-        "n_points": int(errors.pe.size),
+        sid: {**{name: float(columns[name][i]) for name in SERIES_METRICS}, "n_points": n_points}
+        for i, sid in enumerate(series_ids)
     }
-
-
-@dataclass
-class MetricsReport:
-    """Per-series metrics, their unweighted aggregate, and pooled-error shape stats."""
-
-    per_series: dict
-    aggregate: dict
-    mpe_skewness: float
-    mpe_kurtosis: float
-    n_series: int
-    n_points: int
-
-    def aggregate_summary(self) -> dict:
-        return {
-            **self.aggregate,
-            "mpe_skewness": self.mpe_skewness,
-            "mpe_kurtosis": self.mpe_kurtosis,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "per_series": self.per_series,
-            "aggregate": self.aggregate_summary(),
-            "n_series": self.n_series,
-            "n_points": self.n_points,
-        }
-
-
-def aggregate_metrics(groups: dict) -> MetricsReport:
-    """Aggregate per-series point errors into a report.
-
-    ``groups`` maps series id -> PointErrors. The aggregate row is the
-    unweighted mean of per-series values; skewness/kurtosis are computed on
-    the percentage errors pooled across every series and point.
-    """
-    if not groups:
-        raise ValueError("no series groups to aggregate")
-    per_series = {sid: series_metrics(errors) for sid, errors in sorted(groups.items())}
-    aggregate = {
-        name: float(np.mean([metrics[name] for metrics in per_series.values()]))
-        for name in SERIES_METRICS
-    }
-    pooled_pe = np.concatenate([errors.pe for _, errors in sorted(groups.items())])
-    return MetricsReport(
-        per_series=per_series,
-        aggregate=aggregate,
-        mpe_skewness=skewness(pooled_pe),
-        mpe_kurtosis=kurtosis(pooled_pe),
-        n_series=len(per_series),
-        n_points=int(pooled_pe.size),
-    )
 
 
 # ---------------------------------------------------------------------------

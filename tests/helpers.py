@@ -1,7 +1,9 @@
-"""Shared test utilities: tiny configs, dataset builders, and independent
-reference implementations used as oracles."""
+"""Shared test utilities: tiny configs, dataset builders, independent
+reference implementations used as oracles, and the finite-difference gradient
+checker."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +68,36 @@ def dm_reference(e1, e2, loss_kind="absolute", horizon_correction=1):
     if lrv <= 0.0:
         return None, True
     return mean_d / math.sqrt(lrv / n), False
+
+
+def metrics_reference(y, y_hat):
+    """Per-trial, per-series loop of 1-D numpy calls: the scorer that
+    ``aggregate_metrics`` replaced, kept as its bit-exact oracle.
+
+    Returns one ``(per-series metric dicts, aggregate dict)`` pair per trial.
+    """
+    out = []
+    for trial in y_hat:
+        per_series, pooled = [], []
+        for actual, forecast in zip(y, trial):
+            pe = 100.0 * (actual - forecast) / actual
+            ape = np.abs(pe)
+            q1, q3 = np.quantile(ape, [0.25, 0.75])
+            per_series.append({
+                "medape": float(np.median(ape)),
+                "mape": float(ape.mean()),
+                "iqr_ape": float(q3 - q1),
+                "rmse": float(np.sqrt(((actual - forecast) ** 2).mean())),
+                "mpe": float(pe.mean()),
+            })
+            pooled.append(pe)
+        aggregate = {name: float(np.mean([m[name] for m in per_series])) for name in per_series[0]}
+        centered = np.concatenate(pooled) - np.concatenate(pooled).mean()
+        m2 = np.mean(centered**2)
+        aggregate["mpe_skewness"] = float(np.mean(centered**3) / m2**1.5) if m2 else 0.0
+        aggregate["mpe_kurtosis"] = float(np.mean(centered**4) / m2**2) if m2 else 0.0
+        out.append((per_series, aggregate))
+    return out
 
 
 def zero_head_params(config: ModelConfig, seed=11) -> dict:
@@ -143,3 +175,68 @@ def batch_objective(x, y, config):
         return loss, grads
 
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference gradient checking
+# ---------------------------------------------------------------------------
+
+@dataclass
+class GradCheckReport:
+    """Max relative error per parameter block vs central finite differences."""
+
+    max_rel_error: dict[str, float]
+    tolerance: float
+
+    @property
+    def failed(self) -> list[str]:
+        return [name for name, err in self.max_rel_error.items() if err > self.tolerance]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
+
+    @property
+    def worst(self) -> float:
+        return max(self.max_rel_error.values(), default=0.0)
+
+
+def grad_check(
+    fn,
+    params: dict,
+    tolerance: float = 1e-4,
+    *,
+    step_scale: float = 1e-5,
+    abs_floor: float = 1e-7,
+) -> GradCheckReport:
+    """Compare the gradients of ``fn`` against central finite differences.
+
+    ``fn(params) -> (loss, grads)`` must evaluate the objective at the current
+    parameter values and return its gradient for every parameter; entries are
+    perturbed in place with ``h = step_scale * max(1, |theta|)`` and restored.
+    Coordinates where both gradients are below ``abs_floor`` count as matching
+    zeros.
+    """
+    loss, analytic = fn(params)
+    if not np.isfinite(loss):
+        raise FloatingPointError("objective is not finite at the evaluation point")
+    report = {}
+    for name, arr in params.items():
+        g = analytic[name]
+        worst = 0.0
+        for idx in np.ndindex(arr.shape):
+            theta = float(arr[idx])
+            h = step_scale * max(1.0, abs(theta))
+            arr[idx] = theta + h
+            fp = float(fn(params)[0])
+            arr[idx] = theta - h
+            fm = float(fn(params)[0])
+            arr[idx] = theta
+            fd = (fp - fm) / (2.0 * h)
+            ga = float(g[idx])
+            scale = max(abs(fd), abs(ga))
+            if scale < abs_floor:
+                continue
+            worst = max(worst, abs(fd - ga) / scale)
+        report[name] = worst
+    return GradCheckReport(report, tolerance)

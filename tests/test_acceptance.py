@@ -15,13 +15,15 @@ from loadcast.cli import main as cli_main
 from loadcast.data import SplitSpec, TimeSeries
 from loadcast.loss import LossConfig, loss_components, nmse, pmape
 from loadcast.model import ModelConfig, decompose, init_params, model_forward
-from loadcast.evaluation import diebold_mariano, dm_decision, point_errors, series_metrics
-from loadcast.nn import grad_check
+from loadcast.evaluation import (
+    SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, point_errors,
+)
 from loadcast.train import TrainSchedule, train_one
 
 from helpers import (
     batch_objective,
     dm_reference,
+    grad_check,
     positive_batch,
     relu_margins,
     sinusoid_trend_series,
@@ -345,10 +347,17 @@ def test_c8_byte_identical_reruns(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_c9_metric_fixtures():
-    sign = point_errors([100.0], [90.0])
-    sign_ok = sign.pe[0] == 10.0 and sign.ape[0] == 10.0 and sign.se[0] == 100.0
+    def series_metrics(y, y_hat):  # one series, one trial
+        scores = aggregate_metrics(np.asarray(y)[None], np.asarray(y_hat)[None, None])
+        return {name: float(scores[name][0, 0]) for name in SERIES_METRICS}
 
-    metrics = series_metrics(point_errors(np.full(4, 100.0), np.array([99.0, 98.0, 97.0, 96.0])))
+    sign = series_metrics([100.0], [90.0])
+    sign_ok = (
+        point_errors([100.0], [90.0])[0] == 10.0 and sign["mape"] == 10.0
+        and sign["rmse"] ** 2 == 100.0
+    )
+
+    metrics = series_metrics(np.full(4, 100.0), np.array([99.0, 98.0, 97.0, 96.0]))
     fixture_ok = (
         metrics["mape"] == pytest.approx(2.5, abs=1e-14)
         and metrics["medape"] == pytest.approx(2.5, abs=1e-14)
@@ -360,10 +369,10 @@ def test_c9_metric_fixtures():
     rng = np.random.default_rng(1)
     y = positive_batch(rng, (12,))
     y_hat = y * rng.uniform(0.9, 1.1, size=12)
-    base = series_metrics(point_errors(y, y_hat))
+    base = series_metrics(y, y_hat)
     scale_ok = True
     for k in (3.7, 1000.0):
-        scaled = series_metrics(point_errors(k * y, k * y_hat))
+        scaled = series_metrics(k * y, k * y_hat)
         for name in ("mape", "medape", "iqr_ape", "mpe"):
             if abs(scaled[name] - base[name]) > 1e-12 * max(1.0, abs(base[name])):
                 scale_ok = False

@@ -325,6 +325,29 @@ def test_dm_test_misaligned_files_exit_2(tmp_path, capsys):
     assert "aligned" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra_row, flags, message", [
+    # a second row for 2014-01 must not replace the first one silently
+    ("A,2014,1,99.0", [], "a.csv: line 14: duplicate row for series 'A' 2014-01"),
+    ("A,2015", [], "a.csv: line 14:"),
+    ("A,x,1,0.5", [], "a.csv: line 14:"),
+    ("A,2015,1,abc", [], "a.csv: line 14:"),
+    (None, ["--alpha", "2"], "--alpha"),
+    # identical files give a degenerate comparison, which must not hide a bad alpha
+    (None, ["--alpha", "7"], "--alpha"),
+    (None, ["--horizon", "0"], "--horizon"),
+], ids=["duplicate", "short-row", "bad-year", "bad-error", "alpha-2", "alpha-7", "horizon-0"])
+def test_dm_test_bad_input_exits_2_naming_file_and_line(tmp_path, capsys, extra_row, flags,
+                                                        message):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_errors_file(a, np.arange(1.0, 13.0))
+    write_errors_file(b, np.arange(1.0, 13.0))
+    if extra_row is not None:
+        with open(a, "a") as fh:
+            fh.write(extra_row + "\n")
+    assert run_cli("dm-test", "--errors-a", a, "--errors-b", b, *flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_two_model_evaluation_feeds_dm_test(tmp_path, workspace):
     # a second pool differing only in the master seed, evaluated on the same split
     config = dict(workspace["config"])

@@ -128,7 +128,8 @@ def test_single_trial_report_equals_averaged_report():
     pool = make_pool(3)
     spec = EnsembleSpec(ensemble_size=2, trials=1, seed=3)
     report = run_trials(pool, spec, *make_windows_fixture())
-    only = report.per_trial[0].aggregate_summary()
+    only = report.per_trial[0]
+    assert sorted(only) == sorted(report.averaged)
     for name, value in report.averaged.items():
         assert value == pytest.approx(only[name], rel=1e-15)
         assert report.spread[name]["std"] == 0.0
@@ -162,6 +163,18 @@ def test_run_trials_end_to_end_finite_and_deterministic():
     assert a.averaged == b.averaged
     assert all(np.isfinite(v) for v in a.averaged.values())
     assert set(a.per_series_averaged) == {"W0", "W1", "W2"}
+
+
+def test_run_trials_is_independent_of_row_order():
+    # rows are scored in id order, so reversing the rows and their ids changes nothing
+    pool = make_pool(5)
+    spec = EnsembleSpec(ensemble_size=4, trials=16, seed=1)
+    x, y, ids = make_windows_fixture(n_series=12)
+    forward = run_trials(pool, spec, x, y, ids)
+    backward = run_trials(pool, spec, x[::-1], y[::-1], ids[::-1])
+    assert backward.to_dict() == forward.to_dict()
+    assert list(backward.to_dict()["per_series"]) == sorted(ids)
+    assert np.array_equal(backward.mean_forecast, forward.mean_forecast[::-1])
 
 
 def test_member_forecast_matrix_shape_and_hook():

@@ -4,17 +4,18 @@ from scipy import stats as scipy_stats
 
 from loadcast.baselines import seasonal_naive
 from loadcast.evaluation import (
+    REPORT_METRICS,
+    SERIES_METRICS,
     aggregate_metrics,
     diebold_mariano,
     dm_decision,
     kurtosis,
     point_errors,
-    series_metrics,
     skewness,
     z_critical,
 )
 
-from helpers import dm_reference
+from helpers import dm_reference, metrics_reference
 
 
 # ---------------------------------------------------------------------------
@@ -34,38 +35,41 @@ def test_seasonal_naive_repeats_the_last_twelve_months():
 # ---------------------------------------------------------------------------
 
 def test_point_error_hand_values():
-    errors = point_errors([100.0], [90.0])
-    assert errors.ape[0] == 10.0
-    assert errors.pe[0] == 10.0  # positive = underprediction
-    assert errors.se[0] == 100.0
+    assert point_errors([100.0], [90.0])[0] == 10.0  # positive = underprediction
+    scores = aggregate_metrics([[100.0]], [[[90.0]]])
+    assert scores["mape"][0, 0] == 10.0
+    assert scores["rmse"][0, 0] == 10.0  # squared error 100
 
 
 def test_point_error_sign_convention_overprediction():
-    errors = point_errors([100.0], [110.0])
-    assert errors.pe[0] == pytest.approx(-10.0, abs=1e-14)
-    assert errors.ape[0] == pytest.approx(10.0, abs=1e-14)
+    pe = point_errors([100.0], [110.0])
+    assert pe[0] == pytest.approx(-10.0, abs=1e-14)
+    assert abs(pe[0]) == pytest.approx(10.0, abs=1e-14)
 
 
 def test_point_errors_zero_when_exact_and_validation():
     y = np.array([50.0, 75.0])
-    errors = point_errors(y, y.copy())
-    assert np.array_equal(errors.ape, [0.0, 0.0])
-    assert np.array_equal(errors.se, [0.0, 0.0])
+    assert np.array_equal(point_errors(y, y.copy()), [0.0, 0.0])
+    # forecasts may carry leading (trial) axes
+    assert point_errors(y, np.stack([y, 0.5 * y])).tolist() == [[0.0, 0.0], [50.0, 50.0]]
     with pytest.raises(ValueError, match="positive"):
         point_errors([0.0], [1.0])
     with pytest.raises(ValueError, match="mismatch"):
         point_errors([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="mismatch"):
+        point_errors([[1.0, 2.0]], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def test_series_metrics_hand_fixture():
+def test_aggregate_metrics_hand_fixture():
     # APEs 1,2,3,4 percent on y=100: forecasts 99,98,97,96
-    y = np.full(4, 100.0)
-    y_hat = np.array([99.0, 98.0, 97.0, 96.0])
-    metrics = series_metrics(point_errors(y, y_hat))
+    y = np.full((1, 4), 100.0)
+    y_hat = np.array([[[99.0, 98.0, 97.0, 96.0]]])
+    scores = aggregate_metrics(y, y_hat)
+    metrics = {name: scores[name][0, 0] for name in SERIES_METRICS}
     assert metrics["mape"] == pytest.approx(2.5, abs=1e-14)
     assert metrics["medape"] == pytest.approx(2.5, abs=1e-14)
     # linear-interpolation quartiles: Q1=1.75, Q3=3.25
@@ -75,33 +79,68 @@ def test_series_metrics_hand_fixture():
 
 
 def test_aggregate_is_unweighted_mean_over_series():
-    groups = {
-        "A": point_errors(np.full(4, 100.0), np.full(4, 98.0)),   # MAPE 2
-        "B": point_errors(np.full(8, 100.0), np.full(8, 96.0)),   # MAPE 4, more points
-    }
-    report = aggregate_metrics(groups)
-    assert report.aggregate["mape"] == pytest.approx(3.0, abs=1e-14)
-    assert report.n_series == 2 and report.n_points == 12
+    # every series has the same number of points, as evaluation rows do, so
+    # the MedAPE is what tells a mean of per-series values (3) from a pooled
+    # median (2)
+    y = np.full((2, 4), 100.0)
+    y_hat = np.array([[[98.0, 98.0, 98.0, 98.0], [99.0, 95.0, 93.0, 97.0]]])  # MAPE 2 and 4
+    scores = aggregate_metrics(y, y_hat)
+    assert scores["mape"][0].tolist() == [2.0, 4.0]
+    assert scores["aggregate"]["mape"][0] == pytest.approx(3.0, abs=1e-14)
+    assert scores["aggregate"]["medape"][0] == pytest.approx((2.0 + 4.0) / 2, abs=1e-14)
+
+
+def test_aggregate_metrics_matches_per_series_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    y = np.abs(rng.normal(1000, 200, size=(9, 12))) + 5
+    y_hat = y * rng.uniform(0.8, 1.2, size=(100, 9, 12))
+    y_hat[3] = y  # a perfect trial: zero spread, so skewness and kurtosis read 0
+    scores = aggregate_metrics(y, y_hat)
+    for t, (per_series, aggregate) in enumerate(metrics_reference(y, y_hat)):
+        for name in SERIES_METRICS:
+            assert scores[name][t].tolist() == [m[name] for m in per_series], (t, name)
+        assert {name: float(v[t]) for name, v in scores["aggregate"].items()} == aggregate, t
+    # the memory layout of the inputs must not change the summation order
+    fortran = aggregate_metrics(np.asfortranarray(y), np.asfortranarray(y_hat))
+    for name in SERIES_METRICS:
+        assert np.array_equal(fortran[name], scores[name]), name
+    for name in REPORT_METRICS:
+        assert np.array_equal(fortran["aggregate"][name], scores["aggregate"][name]), name
+
+
+def test_trials_are_scored_independently():
+    rng = np.random.default_rng(2)
+    y = np.abs(rng.normal(100, 20, size=(5, 12))) + 5
+    y_hat = y * rng.uniform(0.9, 1.1, size=(3, 5, 12))
+    scores = aggregate_metrics(y, y_hat)
+    for t in range(3):
+        alone = aggregate_metrics(y, y_hat[t : t + 1])
+        for name in SERIES_METRICS:
+            assert np.array_equal(scores[name][t], alone[name][0])
+        for name in REPORT_METRICS:
+            assert scores["aggregate"][name][t] == alone["aggregate"][name][0]
+    pooled = point_errors(y, y_hat[1]).ravel()
+    assert scores["aggregate"]["mpe_skewness"][1] == skewness(pooled)
+    assert scores["aggregate"]["mpe_kurtosis"][1] == kurtosis(pooled)
 
 
 def test_perfect_forecasts_give_all_zero_metrics():
-    y = np.linspace(50, 90, 6)
-    report = aggregate_metrics({"A": point_errors(y, y.copy())})
-    for value in report.aggregate.values():
-        assert value == 0.0
-    assert report.mpe_skewness == 0.0 and report.mpe_kurtosis == 0.0
+    y = np.linspace(50, 90, 6)[None]
+    scores = aggregate_metrics(y, y[None].copy())
+    for name in REPORT_METRICS:
+        assert scores["aggregate"][name][0] == 0.0
 
 
 def test_metric_scale_behaviour():
     rng = np.random.default_rng(0)
-    y = np.abs(rng.normal(100, 20, size=12)) + 5
-    y_hat = y * rng.uniform(0.9, 1.1, size=12)
-    base = series_metrics(point_errors(y, y_hat))
+    y = np.abs(rng.normal(100, 20, size=(1, 12))) + 5
+    y_hat = y * rng.uniform(0.9, 1.1, size=(1, 1, 12))
+    base = aggregate_metrics(y, y_hat)
     for k in (3.7, 1000.0):
-        scaled = series_metrics(point_errors(k * y, k * y_hat))
+        scaled = aggregate_metrics(k * y, k * y_hat)
         for name in ("mape", "medape", "iqr_ape", "mpe"):
-            assert scaled[name] == pytest.approx(base[name], rel=1e-12)
-        assert scaled["rmse"] == pytest.approx(k * base["rmse"], rel=1e-12)
+            assert scaled[name][0, 0] == pytest.approx(base[name][0, 0], rel=1e-12)
+        assert scaled["rmse"][0, 0] == pytest.approx(k * base["rmse"][0, 0], rel=1e-12)
 
 
 def test_skewness_and_kurtosis_estimators():
@@ -113,11 +152,19 @@ def test_skewness_and_kurtosis_estimators():
     assert skewness(right_tailed) > 1.0
     assert skewness(np.full(5, 2.0)) == 0.0
     assert kurtosis(np.full(5, 2.0)) == 0.0
+    # along the last axis, one value per row; zero-spread rows give 0.0
+    rows = np.stack([right_tailed, np.full(4000, 2.0)])
+    assert skewness(rows).tolist() == [skewness(right_tailed), 0.0]
+    assert kurtosis(rows).tolist() == [kurtosis(right_tailed), 0.0]
 
 
-def test_aggregate_requires_groups():
-    with pytest.raises(ValueError):
-        aggregate_metrics({})
+def test_aggregate_requires_series():
+    with pytest.raises(ValueError, match="series"):
+        aggregate_metrics(np.empty((0, 12)), np.empty((1, 0, 12)))
+    with pytest.raises(ValueError, match="trials"):
+        aggregate_metrics(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="mismatch"):
+        aggregate_metrics(np.ones((2, 3)), np.ones((1, 3, 3)))
 
 
 # ---------------------------------------------------------------------------

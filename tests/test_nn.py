@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from loadcast.model import (
     ABLATION_FLAGS, ModelConfig, affine, init_params, loss_and_grad, model_forward,
 )
-from loadcast.nn import AdamState, GradCheckReport, adam_step, grad_check
+from loadcast.nn import AdamState, adam_step
 
-from helpers import batch_objective, positive_batch, relu_margins, tiny_config
+from helpers import (
+    GradCheckReport, batch_objective, grad_check, positive_batch, relu_margins, tiny_config,
+)
 
 
 # ---------------------------------------------------------------------------
