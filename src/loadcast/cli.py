@@ -187,9 +187,13 @@ def _ensemble_from_args(base: EnsembleSpec, args) -> EnsembleSpec:
         raise ConfigError(str(exc)) from None
 
 
-def _open_pool(args):
+def _open_pool(args, series_ids):
     """The pool of ``--manifest``, its dataset path and series, and the ensemble
-    spec recorded at train time with the command-line overrides applied."""
+    spec recorded at train time with the command-line overrides applied.
+
+    ``series_ids`` None loads and validates every series of the dataset, a
+    list of ids only those series.
+    """
     manifest = Path(args.manifest)
     if not manifest.exists():
         raise ConfigError(f"manifest not found: {manifest}")
@@ -199,7 +203,10 @@ def _open_pool(args):
         raise ConfigError("no dataset given and the manifest records none")
     if not Path(dataset).exists():
         raise ConfigError(f"dataset file not found: {dataset}")
-    series_list = _load_series(dataset, pool.config, drop_short=False)
+    config = pool.config
+    series_list = data.load_dataset(
+        dataset, min_length=config.lookback + 2 * config.horizon, series_ids=series_ids
+    )
     base_spec = _build_section(EnsembleSpec, pool.run.get("ensemble", {}), "ensemble")
     return pool, dataset, series_list, _ensemble_from_args(base_spec, args)
 
@@ -254,34 +261,41 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _forecast_targets(series_list, requested: str):
-    by_id = {s.id: s for s in series_list}
-    if requested == "all":
-        return [by_id[sid] for sid in sorted(by_id)]
-    targets = []
-    for sid in requested.split(","):
-        sid = sid.strip()
-        if sid not in by_id:
-            raise ConfigError(f"unknown series id '{sid}'")
-        targets.append(by_id[sid])
-    return targets
+def _requested_ids(text: str):
+    """The ids of ``--series`` in request order, or None for 'all'."""
+    if text == "all":
+        return None
+    ids = [sid.strip() for sid in text.split(",")]
+    for k, sid in enumerate(ids):
+        if sid in ids[:k]:
+            raise ConfigError(f"--series repeats id '{sid}'")
+    return ids
+
+
+def _parse_anchor(text: str) -> int:
+    """The month index of an ``--anchor`` of the form YYYY-MM."""
+    try:
+        year, month = (int(p) for p in text.split("-"))
+        if not 1 <= month <= 12:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"--anchor expects YYYY-MM, got '{text}'") from None
+    return data.month_index(year, month)
 
 
 def cmd_forecast(args) -> int:
-    pool, _, series_list, spec = _open_pool(args)
-    targets = _forecast_targets(series_list, args.series)
+    if args.trial_index < 0:
+        raise ConfigError(f"--trial-index must be >= 0, got {args.trial_index}")
+    anchor = None if args.anchor is None else _parse_anchor(args.anchor)
+    series_ids = _requested_ids(args.series)
+    pool, _, series_list, spec = _open_pool(args, series_ids)
+    by_id = {s.id: s for s in series_list}
+    targets = [by_id[sid] for sid in series_ids or sorted(by_id)]
     config = pool.config
 
     anchors = []
     for s in targets:
-        if args.anchor is None:
-            idx = len(s) - 1
-        else:
-            try:
-                year, month = (int(p) for p in args.anchor.split("-"))
-            except ValueError:
-                raise ConfigError(f"--anchor expects YYYY-MM, got '{args.anchor}'") from None
-            idx = data.month_index(year, month) - data.month_index(*s.start)
+        idx = len(s) - 1 if anchor is None else anchor - data.month_index(*s.start)
         if idx >= len(s):
             raise ConfigError(f"anchor leaves series '{s.id}' without data ({args.anchor})")
         if idx + 1 < config.lookback:
@@ -354,7 +368,7 @@ def _baseline_report(series_list, starts, y):
 
 
 def cmd_evaluate(args) -> int:
-    pool, dataset, series_list, spec = _open_pool(args)
+    pool, dataset, series_list, spec = _open_pool(args, None)
     x, y, starts = data.evaluation_windows(
         series_list, pool.split, pool.config.lookback, pool.config.horizon, region=args.split
     )

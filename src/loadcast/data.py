@@ -80,7 +80,7 @@ def validate_series(series: TimeSeries, min_length: int) -> None:
         )
 
 
-def _read_csv_rows(path: Path) -> dict[str, list[tuple[int, float, str]]]:
+def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
     per_id: dict[str, list[tuple[int, float, str]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -92,11 +92,11 @@ def _read_csv_rows(path: Path) -> dict[str, list[tuple[int, float, str]]]:
         for rowno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if row[0].lstrip().startswith("#"):
+            sid = row[0].strip()
+            if sid.startswith("#") or (keep is not None and sid not in keep):
                 continue
             if len(row) != 4:
                 raise DatasetError(f"{path}: row {rowno}: expected 4 fields, got {len(row)}")
-            sid = row[0].strip()
             try:
                 year, month, value = int(row[1]), int(row[2]), float(row[3])
             except ValueError as exc:
@@ -111,13 +111,15 @@ def _read_csv_rows(path: Path) -> dict[str, list[tuple[int, float, str]]]:
     return per_id
 
 
-def _read_json_rows(path: Path) -> dict[str, list[tuple[int, float, str]]]:
+def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("series"), list):
         raise DatasetError(f"{path}: expected an object with a 'series' list")
     per_id: dict[str, list[tuple[int, float, str]]] = {}
     for k, entry in enumerate(doc["series"]):
+        if keep is not None and isinstance(entry, dict) and str(entry.get("id")) not in keep:
+            continue
         where = f"series entry {k}"
         if not isinstance(entry, dict) or not {"id", "start", "values"} <= entry.keys():
             raise DatasetError(f"{path}: {where}: needs 'id', 'start', 'values'")
@@ -130,7 +132,12 @@ def _read_json_rows(path: Path) -> dict[str, list[tuple[int, float, str]]]:
         base = month_index(int(start[0]), int(start[1]))
         rows = []
         for j, value in enumerate(entry["values"]):
-            value = float(value)
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise DatasetError(
+                    f"{path}: {where}: value at position {j} is not a number: {value!r}"
+                ) from None
             if not np.isfinite(value) or value <= 0.0:
                 raise DatasetError(
                     f"{path}: {where}: value at position {j} is {value}; "
@@ -146,6 +153,7 @@ def load_dataset(
     *,
     min_length: int = DEFAULT_LOOKBACK + 2 * DEFAULT_HORIZON,
     on_short: str = "error",
+    series_ids=None,
 ) -> list[TimeSeries]:
     """Load and validate a dataset, returning one TimeSeries per distinct id.
 
@@ -153,12 +161,19 @@ def load_dataset(
     shorter than ``min_length`` are a hard error unless ``on_short="drop"``,
     which drops them with a warning. Months must be contiguous within each
     series; rows may arrive unsorted.
+
+    ``series_ids`` (a collection of ids; default: every id) restricts loading
+    to those series: rows and entries of other ids are skipped unparsed and
+    unvalidated, and a requested id that the file lacks is an error.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
     read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
-    per_id = read_rows(path)
+    per_id = read_rows(path, None if series_ids is None else set(series_ids))
+    for sid in series_ids or ():
+        if sid not in per_id:
+            raise DatasetError(f"{path}: unknown series id '{sid}'")
     if not per_id:
         raise DatasetError(f"{path}: no data rows")
     if on_short not in ("error", "drop"):

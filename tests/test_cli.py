@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loadcast.cli import main
-from loadcast.data import load_dataset
+from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
 from loadcast.model import ModelConfig, model_forward
 from loadcast.train import load_checkpoint
 
@@ -186,6 +186,77 @@ def test_forecast_anchor_and_series_validation(tmp_path, workspace, capsys):
     # anchor beyond the series end
     assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "S00",
                    "--anchor", "2030-01", "--out", out) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    # 2012-13 and 2013-0 used to be read as 2013-01 and 2012-12
+    (["--series", "S00", "--anchor", "2012-13"], "--anchor expects YYYY-MM, got '2012-13'"),
+    (["--series", "S00", "--anchor", "2013-0"], "--anchor expects YYYY-MM, got '2013-0'"),
+    (["--series", "S00", "--trial-index", "-1"], "--trial-index must be >= 0"),
+    (["--series", "S00,S01,S00"], "--series repeats id 'S00'"),
+], ids=["anchor-month-13", "anchor-month-0", "trial-index", "repeated-id"])
+def test_forecast_bad_flags_exit_2_before_reading_files(tmp_path, workspace, capsys, flags,
+                                                        message):
+    out = tmp_path / "f.csv"
+    for manifest in (workspace["manifest"], tmp_path / "missing" / "manifest.json"):
+        assert run_cli("forecast", "--manifest", manifest, *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _dataset_with_fault(workspace, path, fault):
+    """The workspace dataset at ``path`` (CSV or JSON by suffix) with one fault
+    in series S01, or with an extra 3-month series SHORT; returns the id at fault
+    and the message that names the fault."""
+    series = load_dataset(workspace["dataset"], min_length=18)
+    if path.suffix == ".csv":
+        write_dataset_csv(series, path)
+        extra = {"value": ["S01,2013,5,abc"], "fields": ["S01,2013,5"],
+                 "short": [f"SHORT,2010,{m},5.0" for m in (1, 2, 3)]}[fault]
+        with open(path, "a") as fh:
+            fh.write("\n".join(extra) + "\n")
+        # 3 series x 40 months fill rows 2-121
+        message = {"value": "row 122: could not convert", "fields": "row 122: expected 4 fields",
+                   "short": "SHORT (3 months)"}[fault]
+    else:
+        write_dataset_json(series, path)
+        doc = json.loads(path.read_text())
+        if fault == "value":
+            doc["series"][1]["values"][5] = "abc"
+        elif fault == "fields":
+            del doc["series"][1]["values"]
+        else:
+            doc["series"].append({"id": "SHORT", "start": [2010, 1], "values": [5.0] * 3})
+        path.write_text(json.dumps(doc))
+        message = {"value": "series entry 1: value at position 5",
+                   "fields": "series entry 1: needs 'id', 'start', 'values'",
+                   "short": "SHORT (3 months)"}[fault]
+    return ("SHORT" if fault == "short" else "S01"), message
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("fault", ["value", "fields", "short"])
+def test_forecast_validates_only_the_requested_series(tmp_path, workspace, capsys, suffix,
+                                                      fault):
+    dataset = tmp_path / f"faulty{suffix}"
+    at_fault, message = _dataset_with_fault(workspace, dataset, fault)
+
+    def forecast(series, path):
+        out = tmp_path / f"{path.stem}-{series}.csv"
+        code = run_cli("forecast", "--manifest", workspace["manifest"], "--dataset", path,
+                       "--series", series, "--out", out)
+        return code, out
+
+    assert forecast(at_fault, dataset)[0] == 2
+    assert message in capsys.readouterr().err
+    code, out = forecast("S00", dataset)
+    assert code == 0
+    assert out.read_bytes() == forecast("S00", workspace["dataset"])[1].read_bytes()
+    assert forecast("all", dataset)[0] == 2
+    assert message in capsys.readouterr().err
+    assert run_cli("evaluate", "--manifest", workspace["manifest"], "--dataset", dataset,
+                   "--out-dir", tmp_path / "eval") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_manifest_exits_2_naming_the_path(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -92,6 +93,32 @@ def test_json_and_csv_produce_identical_series(tmp_path):
     for a, b in zip(from_csv, from_json):
         assert a.start == b.start
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
+    series = synthetic_dataset(3, 40, seed=5)
+    path = tmp_path / f"d{suffix}"
+    if suffix == ".csv":
+        write_dataset_csv(series, path)
+        with open(path, "a") as fh:
+            fh.write("S01,2013,5,abc\n")  # row 122
+        bad = "row 122"
+    else:
+        write_dataset_json(series, path)
+        doc = json.loads(path.read_text())
+        doc["series"][1]["values"][5] = "abc"
+        path.write_text(json.dumps(doc))
+        bad = "series entry 1: value at position 5 is not a number"
+    kept = load_dataset(path, series_ids=["S02", "S00"])
+    assert [s.id for s in kept] == ["S00", "S02"]
+    for got, want in zip(kept, [series[0], series[2]]):
+        assert got.start == want.start and np.array_equal(got.values, want.values)
+    for ids in (None, ["S01"], ["S00", "S01"]):
+        with pytest.raises(DatasetError, match=bad):
+            load_dataset(path, series_ids=ids)
+    with pytest.raises(DatasetError, match="unknown series id 'NOPE'"):
+        load_dataset(path, series_ids=["S00", "NOPE"])
 
 
 def test_cohort_shape(tmp_path):
