@@ -5,7 +5,9 @@ Runs ``synth``, ``train`` (with shared and with per-block weights),
 (absolute loss at the default horizon, and squared loss at horizon 1),
 ``forecast`` (with a block decomposition), ``ablate`` and ``sweep`` at a tiny
 config. It then trains a pool on 16 series and evaluates it with 100 trials of
-64 members, enough to expose the summation order of the metrics. It compares
+64 members, enough to expose the summation order of the metrics, and of 63
+members, so that the ensemble median takes a single middle value; it also
+forecasts that pool with an odd ensemble of 5. It compares
 every output file and the commands' stdout byte for byte with the files under
 ``tests/golden/``. The only field ignored is ``created_at``. Checkpoints are
 compared by their sha256 digest, listed in ``tests/golden/checkpoints.sha256``.
@@ -62,6 +64,10 @@ COMMANDS = [
      "--set", "output_dir=pool16"],
     ["evaluate", "--manifest", "pool16/manifest.json", "--trials", "100", "--ensemble-size", "64",
      "--out-dir", "eval_many"],
+    ["evaluate", "--manifest", "pool16/manifest.json", "--trials", "100", "--ensemble-size", "63",
+     "--out-dir", "eval_many_odd"],
+    ["forecast", "--manifest", "pool16/manifest.json", "--ensemble-size", "5",
+     "--out", "forecast_odd.csv"],
 ]
 
 _CREATED_AT = re.compile(rb'"created_at": "[^"]*"')
