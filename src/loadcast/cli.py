@@ -305,12 +305,16 @@ def cmd_forecast(args) -> int:
         anchors.append(idx)
 
     x = np.stack([s.values[i + 1 - config.lookback : i + 1] for s, i in zip(targets, anchors)])
-    indices = draw_member_indices(len(pool.members), spec, args.trial_index).tolist()
-    forecasts, contribs = {}, {}
-    for i in sorted(set(indices)):
+    # only the distinct members drawn are run; ``drawn`` indexes them
+    members, drawn = np.unique(
+        draw_member_indices(len(pool.members), spec, args.trial_index), return_inverse=True
+    )
+    forecasts, contribs = [], []
+    for i in members:
         y_hat, diag = model_forward(pool.members[i].load_params(), x, config)
-        forecasts[i], contribs[i] = y_hat, decompose(diag)
-    aggregated = aggregate_forecasts([forecasts[i] for i in indices], spec.aggregation)
+        forecasts.append(y_hat)
+        contribs.append(decompose(diag))
+    aggregated = aggregate_forecasts(np.stack(forecasts), drawn[None], spec.aggregation)[0]
 
     fh, writer = _open_csv(args.out, pool.config_hash, pool.schedule.seed)
     with fh:
@@ -325,7 +329,7 @@ def cmd_forecast(args) -> int:
         # Mean-aggregated block contributions stay additive, so the per-block
         # rows sum exactly to the "forecast" field below (which equals the
         # forecast CSV when aggregation=mean or the ensemble has one member).
-        mean_contrib = np.mean([contribs[i] for i in indices], axis=0)  # (M, n_series, H)
+        mean_contrib = np.mean([contribs[i] for i in drawn], axis=0)  # (M, n_series, H)
         series_docs = {}
         for k, (s, idx) in enumerate(zip(targets, anchors)):
             months = [list(s.month_at(idx + j)) for j in range(1, config.horizon + 1)]

@@ -113,7 +113,10 @@ def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
 
 def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("series"), list):
         raise DatasetError(f"{path}: expected an object with a 'series' list")
     per_id: dict[str, list[tuple[int, float, str]]] = {}
@@ -127,9 +130,16 @@ def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]
         if sid in per_id:
             raise DatasetError(f"{path}: {where}: duplicate series id '{sid}'")
         start = entry["start"]
-        if len(start) != 2 or not 1 <= int(start[1]) <= 12:
-            raise DatasetError(f"{path}: {where}: start must be [year, month 1..12]")
-        base = month_index(int(start[0]), int(start[1]))
+        if not (
+            isinstance(start, list) and len(start) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in start)
+            and 1 <= start[1] <= 12
+        ):
+            raise DatasetError(f"{path}: {where}: start must be [year, month 1..12], got {start!r}")
+        if not isinstance(entry["values"], list):
+            kind = type(entry["values"]).__name__
+            raise DatasetError(f"{path}: {where}: values must be a list of numbers, got {kind}")
+        base = month_index(*start)
         rows = []
         for j, value in enumerate(entry["values"]):
             try:

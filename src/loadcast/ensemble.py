@@ -44,17 +44,54 @@ def draw_member_indices(pool_size: int, spec: EnsembleSpec, trial_index: int) ->
     return rng.integers(pool_size, size=spec.ensemble_size)
 
 
-def aggregate_forecasts(member_forecasts, aggregation: str = "median") -> np.ndarray:
-    """Elementwise median or mean over the leading (member) axis of equal-shape forecasts."""
+def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
+    """Elementwise median or mean of each trial's drawn members.
+
+    ``matrix`` holds the member forecasts, shape (members, rows, H); ``draws``
+    holds each trial's member indices, shape (trials, ensemble_size), repeats
+    allowed. Returns (trials, rows, H).
+
+    A draw with replacement is fixed by how often it takes each member, so the
+    members are sorted once at every position, and a trial reads its middle
+    order statistics off its cumulative member counts in that order. The median
+    is the middle one for an odd draw and half the sum of the two middle ones
+    for an even draw, as in ``np.median``, so the bits equal ``np.median`` over
+    the drawn members (which of two tied zeros of opposite sign it returns
+    aside), NaN wherever a drawn member is NaN included.
+    """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-    try:
-        stacked = np.asarray(member_forecasts, dtype=np.float64)
-    except ValueError:
-        raise ValueError("member forecasts differ in length") from None
-    if stacked.ndim == 0 or len(stacked) == 0:
-        raise ValueError("need at least one member forecast")
-    return np.median(stacked, axis=0) if aggregation == "median" else stacked.mean(axis=0)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    draws = np.asarray(draws)
+    if matrix.ndim != 3 or len(matrix) == 0:
+        raise ValueError("need a (members, rows, H) forecast matrix with at least one member")
+    if draws.ndim != 2 or draws.shape[1] == 0 or draws.dtype.kind not in "iu":
+        raise ValueError("need (trials, ensemble_size) integer member indices")
+    if draws.size and not 0 <= draws.min() <= draws.max() < len(matrix):
+        raise ValueError(f"member index out of range for a pool of {len(matrix)}")
+    out = np.empty((len(draws), *matrix.shape[1:]))
+    if aggregation == "mean":
+        for t, drawn in enumerate(draws):
+            out[t] = matrix[drawn].mean(axis=0)
+        return out
+
+    flat = matrix.reshape(len(matrix), -1)
+    order = np.argsort(flat, axis=0)
+    ordered = np.take_along_axis(flat, order, axis=0)
+    nan = np.isnan(flat)
+    size = draws.shape[1]
+    for t, drawn in enumerate(draws):
+        counts = np.bincount(drawn, minlength=len(matrix))
+        # drawn_upto[j] = draws at or below sorted position j; order statistic k
+        # sits at the first position where it exceeds k
+        drawn_upto = np.cumsum(counts[order], axis=0)
+        lower, upper = (
+            np.take_along_axis(ordered, (drawn_upto <= k).sum(axis=0)[None], axis=0)[0]
+            for k in ((size - 1) // 2, size // 2)
+        )
+        median = lower if size % 2 else (lower + upper) / 2
+        out[t] = np.where((counts > 0) @ nan, np.nan, median).reshape(matrix.shape[1:])
+    return out
 
 
 def member_forecast_matrix(pool, x, forecast_fn=None) -> np.ndarray:
@@ -105,11 +142,10 @@ def run_trials(pool, spec: EnsembleSpec, x, y, series_ids, forecast_fn=None) -> 
         raise ValueError("no evaluation windows")
     if len(set(series_ids)) != len(y):
         raise ValueError("need exactly one evaluation row per series id")
-    matrix = member_forecast_matrix(pool, x, forecast_fn)
-    forecasts = np.empty((spec.trials, *matrix.shape[1:]))
-    for trial in range(spec.trials):
-        indices = draw_member_indices(len(pool.members), spec, trial)
-        forecasts[trial] = aggregate_forecasts(matrix[indices], spec.aggregation)
+    draws = [draw_member_indices(len(pool.members), spec, trial) for trial in range(spec.trials)]
+    forecasts = aggregate_forecasts(
+        member_forecast_matrix(pool, x, forecast_fn), draws, spec.aggregation
+    )
 
     # score the series in id order
     ids = list(series_ids)

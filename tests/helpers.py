@@ -70,6 +70,12 @@ def dm_reference(e1, e2, loss_kind="absolute", horizon_correction=1):
     return mean_d / math.sqrt(lrv / n), False
 
 
+def median_reference(matrix, draws):
+    """One ``np.median`` over the gathered members per trial: the aggregation
+    loop that ``aggregate_forecasts`` replaced, kept as its bit-exact oracle."""
+    return np.stack([np.median(matrix[drawn], axis=0) for drawn in draws])
+
+
 def metrics_reference(y, y_hat):
     """Per-trial, per-series loop of 1-D numpy calls: the scorer that
     ``aggregate_metrics`` replaced, kept as its bit-exact oracle.

@@ -121,6 +121,32 @@ def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
         load_dataset(path, series_ids=["S00", "NOPE"])
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"start": 2010}, r"series entry 1: start must be \[year, month 1..12\], got 2010"),
+        ({"start": ["x", 1]}, r"series entry 1: start must be \[year, month 1..12\]"),
+        ({"start": [2010.5, 1]}, r"series entry 1: start must be \[year, month 1..12\]"),
+        ({"values": 5}, "series entry 1: values must be a list of numbers, got int"),
+        ({"values": "12"}, "series entry 1: values must be a list of numbers, got str"),
+        (None, "invalid JSON"),
+    ],
+    ids=["start-int", "start-text", "start-float", "values-int", "values-text", "truncated"],
+)
+def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
+    path = tmp_path / "d.json"
+    write_dataset_json(synthetic_dataset(2, 40, seed=5), path)
+    if fault is None:
+        path.write_text(path.read_text()[:-40])
+    else:
+        doc = json.loads(path.read_text())
+        doc["series"][1].update(fault)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=message) as raised:
+        load_dataset(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
 def test_cohort_shape(tmp_path):
     # 35 series mirroring the benchmark cohort: 11x288, 6x204, 4x144, 2x96, 12x60
     lengths = [288] * 11 + [204] * 6 + [144] * 4 + [96] * 2 + [60] * 12

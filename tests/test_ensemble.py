@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loadcast.data import SplitSpec
 from loadcast.ensemble import (
@@ -12,7 +13,7 @@ from loadcast.ensemble import (
 from loadcast.model import config_hash, init_params
 from loadcast.train import Pool, TrainSchedule, TrainedMember
 
-from helpers import tiny_config
+from helpers import median_reference, tiny_config
 
 
 def make_pool(n_members, seed0=0, identical=False):
@@ -86,38 +87,109 @@ def test_empty_pool_is_an_error():
 
 def test_aggregate_identical_members_is_identity():
     f = np.array([3.0, 4.0])
+    matrix = np.stack([f, f, f])[:, None]
     for aggregation in ("median", "mean"):
-        assert np.array_equal(aggregate_forecasts([f, f, f], aggregation), f)
+        assert np.array_equal(aggregate_forecasts(matrix, [[0, 1, 2]], aggregation)[0, 0], f)
 
 
 def test_aggregate_hand_values():
-    members = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([10.0, 10.0])]
-    assert np.array_equal(aggregate_forecasts(members, "median"), [2.0, 2.0])
-    assert np.allclose(aggregate_forecasts(members, "mean"), [13.0 / 3.0] * 2, rtol=1e-15)
+    matrix = np.array([[1.0, 1.0], [2.0, 2.0], [10.0, 10.0]])[:, None]
+    assert np.array_equal(aggregate_forecasts(matrix, [[0, 1, 2]], "median")[0, 0], [2.0, 2.0])
+    assert np.allclose(
+        aggregate_forecasts(matrix, [[0, 1, 2]], "mean")[0, 0], [13.0 / 3.0] * 2, rtol=1e-15
+    )
 
 
 def test_aggregate_single_member_and_errors():
     f = np.array([5.0, 6.0, 7.0])
-    assert np.array_equal(aggregate_forecasts([f], "median"), f)
-    assert np.array_equal(aggregate_forecasts([f], "mean"), f)
-    with pytest.raises(ValueError, match="length"):
-        aggregate_forecasts([np.ones(3), np.ones(4)])
-    with pytest.raises(ValueError, match="at least one"):
-        aggregate_forecasts([])
+    matrix = f[None, None]
+    assert np.array_equal(aggregate_forecasts(matrix, [[0]], "median")[0, 0], f)
+    assert np.array_equal(aggregate_forecasts(matrix, [[0]], "mean")[0, 0], f)
+    with pytest.raises(ValueError, match="forecast matrix"):
+        aggregate_forecasts(np.ones((2, 3)), [[0, 1]], "median")
+    with pytest.raises(ValueError, match="at least one member"):
+        aggregate_forecasts(np.empty((0, 1, 3)), [[0]], "median")
+    with pytest.raises(ValueError, match="member indices"):
+        aggregate_forecasts(matrix, [0, 0], "median")
+    with pytest.raises(ValueError, match="member indices"):
+        aggregate_forecasts(matrix, [[]], "median")
+    with pytest.raises(ValueError, match="out of range"):
+        aggregate_forecasts(matrix, [[0, 1]], "median")
+    with pytest.raises(ValueError, match="out of range"):
+        aggregate_forecasts(matrix, [[-1]], "mean")
     with pytest.raises(ValueError, match="aggregation"):
-        aggregate_forecasts([f], "mode")
+        aggregate_forecasts(matrix, [[0]], "mode")
 
 
 def test_median_aggregation_is_elementwise_monotone():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        members = rng.normal(size=(5, 4))
-        base = aggregate_forecasts(members, "median")
+        members = rng.normal(size=(5, 1, 4))
+        draws = rng.integers(5, size=(1, 5))
+        base = aggregate_forecasts(members, draws, "median")
         bumped = members.copy()
         k = rng.integers(5)
-        bumped[k] += rng.uniform(0.0, 2.0, size=4)
-        raised = aggregate_forecasts(bumped, "median")
+        bumped[k] += rng.uniform(0.0, 2.0, size=(1, 4))
+        raised = aggregate_forecasts(bumped, draws, "median")
         assert np.all(raised >= base - 1e-15)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("pool_size", [1, 2, 16])
+@pytest.mark.parametrize("size", [1, 2, 3, 63, 64])
+def test_median_matches_per_trial_np_median_bit_for_bit(size, pool_size, order):
+    rng = np.random.default_rng([size, pool_size])
+    draws = rng.integers(pool_size, size=(40, size))
+    spread = 1000.0 + 100.0 * rng.normal(size=(pool_size, 5, 12))
+    tied = rng.choice([1.5, 2.0, 2.0, 3.25], size=(pool_size, 5, 12))
+    for values in (spread, tied):
+        matrix = np.asarray(values, order=order)
+        got = aggregate_forecasts(matrix, draws, "median")
+        assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
+    # np.median's partition may return either sign when 0.0 and -0.0 tie, so
+    # with signed zeros among the ties the values are compared, not the bits
+    signed_zeros = rng.choice([-1.0, -0.0, 0.0, 0.0, 2.0], size=(pool_size, 5, 12))
+    matrix = np.asarray(signed_zeros, order=order)
+    assert np.array_equal(
+        aggregate_forecasts(matrix, draws, "median"), median_reference(matrix, draws)
+    )
+
+
+def test_median_is_nan_exactly_where_a_drawn_member_is_nan():
+    rng = np.random.default_rng(3)
+    matrix = rng.uniform(900.0, 1100.0, size=(6, 4, 3))
+    matrix[2, 1, 0] = np.nan
+    draws = rng.integers(6, size=(50, 7))
+    got = aggregate_forecasts(matrix, draws, "median")
+    drew_it = (draws == 2).any(axis=1)
+    assert 0 < drew_it.sum() < len(draws)
+    expected = np.zeros(got.shape, dtype=bool)
+    expected[drew_it, 1, 0] = True
+    assert np.array_equal(np.isnan(got), expected)
+    assert np.array_equal(got[~np.isnan(got)], median_reference(matrix, draws)[~expected])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    members=st.integers(1, 6),
+    size=st.integers(1, 9),
+    values=st.lists(
+        st.floats(-1e9, 1e9).filter(lambda v: abs(v) >= 1e-3), min_size=6 * 4, max_size=6 * 4
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_median_lies_within_drawn_members_and_scales(members, size, values, seed):
+    matrix = np.reshape(values, (6, 2, 2))[:members]
+    draws = np.random.default_rng(seed).integers(members, size=(3, size))
+    median = aggregate_forecasts(matrix, draws, "median")
+    for trial, drawn in zip(median, draws):
+        assert np.all(matrix[drawn].min(axis=0) <= trial)
+        assert np.all(trial <= matrix[drawn].max(axis=0))
+    assert np.array_equal(aggregate_forecasts(2.0 * matrix, draws, "median"), 2.0 * median)
 
 
 # ---------------------------------------------------------------------------
