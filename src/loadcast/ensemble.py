@@ -56,8 +56,8 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     order statistics off its cumulative member counts in that order. The median
     is the middle one for an odd draw and half the sum of the two middle ones
     for an even draw, as in ``np.median``, so the bits equal ``np.median`` over
-    the drawn members (which of two tied zeros of opposite sign it returns
-    aside), NaN wherever a drawn member is NaN included.
+    the drawn members, NaN wherever a drawn member is NaN. Only which of two
+    tied zeros of opposite sign comes back may differ.
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
