@@ -132,14 +132,14 @@ def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]
         start = entry["start"]
         if not (
             isinstance(start, list) and len(start) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in start)
+            and all(type(v) is int or type(v) is float and v.is_integer() for v in start)
             and 1 <= start[1] <= 12
         ):
             raise DatasetError(f"{path}: {where}: start must be [year, month 1..12], got {start!r}")
         if not isinstance(entry["values"], list):
             kind = type(entry["values"]).__name__
             raise DatasetError(f"{path}: {where}: values must be a list of numbers, got {kind}")
-        base = month_index(*start)
+        base = month_index(int(start[0]), int(start[1]))
         rows = []
         for j, value in enumerate(entry["values"]):
             try:

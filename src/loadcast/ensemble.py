@@ -51,13 +51,16 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     holds each trial's member indices, shape (trials, ensemble_size), repeats
     allowed. Returns (trials, rows, H).
 
-    A draw with replacement is fixed by how often it takes each member, so the
-    members are sorted once at every position, and a trial reads its middle
-    order statistics off its cumulative member counts in that order. The median
-    is the middle one for an odd draw and half the sum of the two middle ones
-    for an even draw, as in ``np.median``, so the bits equal ``np.median`` over
-    the drawn members, NaN wherever a drawn member is NaN. Only which of two
-    tied zeros of opposite sign comes back may differ.
+    A draw with replacement is fixed by how often it takes each member, so when
+    the pool is no larger than the draw, the members are sorted once at every
+    position, and a trial reads its middle order statistics off its cumulative
+    member counts in that order. The median is the middle one for an odd draw
+    and half the sum of the two middle ones for an even draw, as in
+    ``np.median``, so the bits equal ``np.median`` over the drawn members, NaN
+    wherever a drawn member is NaN. Only which of two tied zeros of opposite
+    sign comes back may differ. That costs each trial work in proportion to the
+    pool, so a pool larger than the draw takes ``np.median`` of each trial's
+    gathered members instead, in proportion to the draw.
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
@@ -70,9 +73,10 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     if draws.size and not 0 <= draws.min() <= draws.max() < len(matrix):
         raise ValueError(f"member index out of range for a pool of {len(matrix)}")
     out = np.empty((len(draws), *matrix.shape[1:]))
-    if aggregation == "mean":
+    if aggregation == "mean" or len(matrix) > draws.shape[1]:
+        reduce = np.mean if aggregation == "mean" else np.median
         for t, drawn in enumerate(draws):
-            out[t] = matrix[drawn].mean(axis=0)
+            out[t] = reduce(matrix[drawn], axis=0)
         return out
 
     flat = matrix.reshape(len(matrix), -1)

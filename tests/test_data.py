@@ -147,6 +147,17 @@ def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
     assert str(raised.value).startswith(f"{path}: ")
 
 
+def test_json_start_may_be_whole_floats(tmp_path):
+    path = tmp_path / "d.json"
+    write_dataset_json(synthetic_dataset(2, 40, seed=5), path)
+    expected = load_dataset(path)
+    doc = json.loads(path.read_text())
+    doc["series"][1]["start"] = [float(v) for v in doc["series"][1]["start"]]
+    path.write_text(json.dumps(doc))
+    for got, want in zip(load_dataset(path), expected):
+        assert got.start == want.start and np.array_equal(got.values, want.values)
+
+
 def test_cohort_shape(tmp_path):
     # 35 series mirroring the benchmark cohort: 11x288, 6x204, 4x144, 2x96, 12x60
     lengths = [288] * 11 + [204] * 6 + [144] * 4 + [96] * 2 + [60] * 12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,9 +141,10 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("pool_size", [1, 2, 16])
+@pytest.mark.parametrize("pool_size", [1, 2, 16, 100])
 @pytest.mark.parametrize("size", [1, 2, 3, 63, 64])
 def test_median_matches_per_trial_np_median_bit_for_bit(size, pool_size, order):
+    # a pool larger than the draw takes the gathered path, the others the counted one
     rng = np.random.default_rng([size, pool_size])
     draws = rng.integers(pool_size, size=(40, size))
     spread = 1000.0 + 100.0 * rng.normal(size=(pool_size, 5, 12))
@@ -159,11 +162,12 @@ def test_median_matches_per_trial_np_median_bit_for_bit(size, pool_size, order):
     )
 
 
-def test_median_is_nan_exactly_where_a_drawn_member_is_nan():
+@pytest.mark.parametrize("size", [3, 7])
+def test_median_is_nan_exactly_where_a_drawn_member_is_nan(size):
     rng = np.random.default_rng(3)
     matrix = rng.uniform(900.0, 1100.0, size=(6, 4, 3))
     matrix[2, 1, 0] = np.nan
-    draws = rng.integers(6, size=(50, 7))
+    draws = rng.integers(6, size=(50, size))
     got = aggregate_forecasts(matrix, draws, "median")
     drew_it = (draws == 2).any(axis=1)
     assert 0 < drew_it.sum() < len(draws)
@@ -171,6 +175,22 @@ def test_median_is_nan_exactly_where_a_drawn_member_is_nan():
     expected[drew_it, 1, 0] = True
     assert np.array_equal(np.isnan(got), expected)
     assert np.array_equal(got[~np.isnan(got)], median_reference(matrix, draws)[~expected])
+
+
+def test_median_of_a_large_pool_allocates_in_proportion_to_the_draw():
+    # the counted path would sort the whole pool; a small draw must not pay for it
+    rng = np.random.default_rng(4)
+    matrix = rng.uniform(900.0, 1100.0, size=(2000, 10, 12))
+    draws = rng.integers(2000, size=(5, 3))
+    aggregate_forecasts(matrix[:, :1, :1], draws, "median")  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        got = aggregate_forecasts(matrix, draws, "median")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, median_reference(matrix, draws))
+    assert peak < matrix.nbytes / 20
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
