@@ -313,7 +313,8 @@ def cmd_forecast(args) -> int:
     for i in members:
         y_hat, diag = model_forward(pool.members[i].load_params(), x, config)
         forecasts.append(y_hat)
-        contribs.append(decompose(diag))
+        if args.decomposition:
+            contribs.append(decompose(diag))
     aggregated = aggregate_forecasts(np.stack(forecasts), drawn[None], spec.aggregation)[0]
 
     fh, writer = _open_csv(args.out, pool.config_hash, pool.schedule.seed)

@@ -126,6 +126,10 @@ def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]
         where = f"series entry {k}"
         if not isinstance(entry, dict) or not {"id", "start", "values"} <= entry.keys():
             raise DatasetError(f"{path}: {where}: needs 'id', 'start', 'values'")
+        if type(entry["id"]) not in (str, int):
+            raise DatasetError(
+                f"{path}: {where}: id must be a string or integer, got {json.dumps(entry['id'])}"
+            )
         sid = str(entry["id"])
         if sid in per_id:
             raise DatasetError(f"{path}: {where}: duplicate series id '{sid}'")
@@ -142,12 +146,11 @@ def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]
         base = month_index(int(start[0]), int(start[1]))
         rows = []
         for j, value in enumerate(entry["values"]):
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
+            if type(value) not in (int, float):  # a JSON number, not a string or boolean
                 raise DatasetError(
-                    f"{path}: {where}: value at position {j} is not a number: {value!r}"
-                ) from None
+                    f"{path}: {where}: value at position {j} is not a number: {json.dumps(value)}"
+                )
+            value = float(value)
             if not np.isfinite(value) or value <= 0.0:
                 raise DatasetError(
                     f"{path}: {where}: value at position {j} is {value}; "
@@ -180,7 +183,10 @@ def load_dataset(
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
     read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
-    per_id = read_rows(path, None if series_ids is None else set(series_ids))
+    try:
+        per_id = read_rows(path, None if series_ids is None else set(series_ids))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: cannot be read as text: {exc}") from None
     for sid in series_ids or ():
         if sid not in per_id:
             raise DatasetError(f"{path}: unknown series id '{sid}'")

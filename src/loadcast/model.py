@@ -91,6 +91,26 @@ def parameter_prefixes(config: ModelConfig) -> list[str]:
     return [f"block{m}" for m in range(config.blocks)]
 
 
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trainable parameter, in ``init_params`` order.
+
+    Per prefix: the hidden layers ``fc<i>``, then the ``backcast`` and
+    ``forecast`` heads, each a weight ``W`` shaped (out, in) and a bias ``b``
+    shaped (out,).
+    """
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix in parameter_prefixes(config):
+        fan_in = config.lookback
+        for i in range(config.fc_layers):
+            shapes[f"{prefix}.fc{i}.W"] = (config.fc_width, fan_in)
+            shapes[f"{prefix}.fc{i}.b"] = (config.fc_width,)
+            fan_in = config.fc_width
+        for head, out_width in (("backcast", config.lookback), ("forecast", config.horizon)):
+            shapes[f"{prefix}.{head}.W"] = (out_width, config.fc_width)
+            shapes[f"{prefix}.{head}.b"] = (out_width,)
+    return shapes
+
+
 def init_params(config: ModelConfig, seed=None) -> dict[str, np.ndarray]:
     """Fresh trainable parameters.
 
@@ -103,16 +123,15 @@ def init_params(config: ModelConfig, seed=None) -> dict[str, np.ndarray]:
     else:
         rng = np.random.default_rng(config.seed if seed is None else seed)
     params: dict[str, np.ndarray] = {}
-    for prefix in parameter_prefixes(config):
-        fan_in = config.lookback
-        for i in range(config.fc_layers):
-            limit = float(np.sqrt(6.0 / fan_in))
-            params[f"{prefix}.fc{i}.W"] = rng.uniform(-limit, limit, size=(config.fc_width, fan_in))
-            params[f"{prefix}.fc{i}.b"] = np.zeros(config.fc_width)
-            fan_in = config.fc_width
-        for head, out_width in (("backcast", config.lookback), ("forecast", config.horizon)):
-            params[f"{prefix}.{head}.W"] = rng.uniform(-0.01, 0.01, size=(out_width, config.fc_width))
-            params[f"{prefix}.{head}.b"] = rng.uniform(-0.01, 0.01, size=out_width)
+    for name, shape in parameter_shapes(config).items():
+        _, layer, kind = name.split(".")
+        if not layer.startswith("fc"):
+            params[name] = rng.uniform(-0.01, 0.01, size=shape)
+        elif kind == "W":
+            limit = float(np.sqrt(6.0 / shape[1]))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.zeros(shape)
     return params
 
 

@@ -10,22 +10,24 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import open_memmap
 
 from .data import DatasetError, SplitSpec, StratifiedSampler, training_windows
 from .loss import _uses_l2
-from .model import ModelConfig, config_hash, init_params, loss_and_grad, model_forward
+from .model import (
+    ModelConfig, config_hash, init_params, loss_and_grad, model_forward, parameter_shapes,
+)
 from .nn import AdamState, adam_step
 
-CHECKPOINT_FORMAT = "loadcast-checkpoint"
 MANIFEST_FORMAT = "loadcast-pool"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+MEMBERS_FILE = "members.npy"
 
 
 @dataclass(frozen=True)
@@ -49,59 +51,71 @@ class TrainSchedule:
 
 @dataclass
 class TrainedMember:
-    """One trained model: seed, loss history, and a checkpoint (file or in-memory)."""
+    """One trained model: seed, loss history, and its parameters, held in
+    memory or as row ``index`` of ``rows``, its pool's members file."""
 
     seed: int
     config_hash: str
     final_loss: float
     first_batch_loss: float
     loss_trace: list
-    checkpoint_path: str | None = None
     params: dict | None = None
+    rows: np.ndarray | None = None
+    index: int | None = None
 
     def load_params(self) -> dict:
         if self.params is not None:
             return self.params
-        if self.checkpoint_path is None:
-            raise ValueError("member has neither in-memory parameters nor a checkpoint path")
-        params, meta = load_checkpoint(self.checkpoint_path)
-        if meta.get("config_hash") != self.config_hash or meta.get("seed") != self.seed:
+        if self.rows is None:
+            raise ValueError("member has neither in-memory parameters nor a stored row")
+        params, meta = load_checkpoint(self.rows, self.index)
+        if meta["config_hash"] != self.config_hash or meta["seed"] != self.seed:
             raise ValueError(
-                f"{self.checkpoint_path}: checkpoint holds config {meta.get('config_hash')} "
-                f"seed {meta.get('seed')}, expected config {self.config_hash} seed {self.seed}"
+                f"{self.rows.filename}: member {self.index} holds config {meta['config_hash']} "
+                f"seed {meta['seed']}, expected config {self.config_hash} seed {self.seed}"
             )
         return params
 
 
-def save_checkpoint(path, params: dict, config: ModelConfig, seed: int) -> None:
-    """Write parameters plus JSON metadata (config, hash, seed) into one .npz."""
-    meta = {
-        "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
-        "config": config.to_dict(),
-        "config_hash": config_hash(config),
-        "seed": int(seed),
-    }
-    arrays = {f"param::{name}": arr for name, arr in params.items()}
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+def member_dtype(config: ModelConfig) -> np.dtype:
+    """One row of the members file: the member's config hash and seed, then
+    one float64 field per parameter, shaped as the parameter."""
+    return np.dtype(
+        [("config_hash", "S16"), ("seed", "<u8")]
+        + [(name, "<f8", shape) for name, shape in parameter_shapes(config).items()]
+    )
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (params dict, metadata dict)."""
-    with np.load(path) as npz:
-        if "meta" not in npz.files:
-            raise ValueError(f"{path}: not a checkpoint (missing metadata)")
-        meta = json.loads(bytes(npz["meta"]).decode())
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unexpected checkpoint format {meta.get('format')!r}")
-        params = {
-            name[len("param::") :]: np.array(npz[name])
-            for name in npz.files
-            if name.startswith("param::")
-        }
-    return params, meta
+def open_members(path, config: ModelConfig, pool_size: int) -> np.memmap:
+    """The members file at ``path``, memory-mapped read-only; a ValueError
+    naming it unless it holds ``pool_size`` rows of ``config``'s layout."""
+    try:
+        rows = open_memmap(path, mode="r")
+    except ValueError as exc:  # not an .npy file, or shorter than its header says
+        raise ValueError(f"{path}: unreadable members file: {exc}") from None
+    if rows.dtype != member_dtype(config) or rows.shape != (pool_size,):
+        raise ValueError(
+            f"{path}: expected {pool_size} rows of config {config_hash(config)}'s parameters, "
+            f"found shape {rows.shape} with fields {rows.dtype.names}"
+        )
+    return rows
+
+
+def save_checkpoint(path, index: int, params: dict, config: ModelConfig, seed: int) -> None:
+    """Write member ``index``'s row of the members file at ``path`` in place."""
+    row = open_memmap(path, mode="r+")[index]
+    row["config_hash"] = config_hash(config)
+    row["seed"] = seed
+    for name, value in params.items():
+        row[name] = value
+
+
+def load_checkpoint(rows, index: int):
+    """Copy member ``index``'s row of an opened members file; returns
+    (params dict, metadata dict with ``config_hash`` and ``seed``)."""
+    row = rows[index]
+    params = {name: np.array(row[name]) for name in rows.dtype.names[2:]}
+    return params, {"config_hash": row["config_hash"].decode(), "seed": int(row["seed"])}
 
 
 def _loss_uses_row_variance(config: ModelConfig) -> bool:
@@ -116,7 +130,6 @@ def train_one(
     member_seed: int,
     *,
     split_spec: SplitSpec | None = None,
-    checkpoint_path=None,
 ) -> TrainedMember:
     """Train a single model; fully reproducible from (config, schedule, member_seed)."""
     all_x, all_y, counts = training_windows(
@@ -170,7 +183,7 @@ def train_one(
         k = schedule.batches_per_epoch
         trace.append({"epoch": epoch + 1, **{key: val / k for key, val in sums.items()}})
 
-    member = TrainedMember(
+    return TrainedMember(
         seed=int(member_seed),
         config_hash=config_hash(config),
         final_loss=trace[-1]["loss"],
@@ -178,11 +191,6 @@ def train_one(
         loss_trace=trace,
         params=params,
     )
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, params, config, member_seed)
-        member.checkpoint_path = str(checkpoint_path)
-        member.params = None
-    return member
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +218,9 @@ def member_seeds(master_seed: int, pool_size: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _member_filename(index: int) -> str:
-    return f"member_{index:04d}.npz"
-
-
 def _train_pool_member(args):
-    series_list, config, schedule, split_spec, seed, path = args
-    return train_one(
-        series_list, config, schedule, seed, split_spec=split_spec, checkpoint_path=path
-    )
+    series_list, config, schedule, split_spec, seed = args
+    return train_one(series_list, config, schedule, seed, split_spec=split_spec)
 
 
 def pool_manifest(pool: Pool) -> dict:
@@ -231,13 +233,9 @@ def pool_manifest(pool: Pool) -> dict:
         "config": pool.config.to_dict(),
         "schedule": asdict(pool.schedule),
         "split": asdict(pool.split),
+        "members_file": MEMBERS_FILE,
         "members": [
-            {
-                "index": i,
-                "seed": m.seed,
-                "checkpoint": Path(m.checkpoint_path).name if m.checkpoint_path else None,
-                "final_loss": m.final_loss,
-            }
+            {"index": i, "seed": m.seed, "final_loss": m.final_loss}
             for i, m in enumerate(pool.members)
             if m is not None
         ],
@@ -257,30 +255,36 @@ def write_manifest(pool: Pool, path) -> dict:
 
 
 def load_pool(manifest_path) -> Pool:
-    """Reconstruct a pool from its manifest; member parameters load lazily."""
+    """Reconstruct a pool from its manifest; member parameters load lazily,
+    each from its own row of the members file."""
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         doc = json.load(fh)
     if doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path}: not a pool manifest")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"{manifest_path}: pool format version {doc.get('version')} is not read by this "
+            f"version of loadcast (format {FORMAT_VERSION}); the pool must be retrained"
+        )
     config = ModelConfig.from_dict(doc["config"])
     if config_hash(config) != doc["config_hash"]:
         raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
     schedule = TrainSchedule(**doc["schedule"])
     split_spec = SplitSpec(**doc["split"])
-    members = []
-    for entry in doc["members"]:
-        checkpoint = entry.get("checkpoint")
-        members.append(
-            TrainedMember(
-                seed=entry["seed"],
-                config_hash=doc["config_hash"],
-                final_loss=entry.get("final_loss", float("nan")),
-                first_batch_loss=float("nan"),
-                loss_trace=[],
-                checkpoint_path=str(manifest_path.parent / checkpoint) if checkpoint else None,
-            )
+    rows = open_members(manifest_path.parent / doc["members_file"], config, schedule.pool_size)
+    members = [
+        TrainedMember(
+            seed=entry["seed"],
+            config_hash=doc["config_hash"],
+            final_loss=entry.get("final_loss", float("nan")),
+            first_batch_loss=float("nan"),
+            loss_trace=[],
+            rows=rows,
+            index=entry["index"],
         )
+        for entry in doc["members"]
+    ]
     return Pool(config, schedule, split_spec, members, doc.get("run", {}))
 
 
@@ -294,80 +298,81 @@ def build_pool(
     workers: int = 1,
     extra_manifest: dict | None = None,
 ) -> Pool:
-    """Train ``schedule.pool_size`` members; resumes from existing checkpoints.
+    """Train ``schedule.pool_size`` members; resumes from a partial build.
 
-    With ``out_dir`` set, each member is persisted as ``member_NNNN.npz`` and a
-    manifest is (re)written as members complete, so an interrupted build can be
-    resumed. ``workers > 1`` trains members in separate processes; results are
-    identical to a sequential build because each member is seed-deterministic.
+    With ``out_dir`` set, the members file ``members.npy`` is created at full
+    size (or reopened, when it already holds this pool's layout), each member's
+    row is written as soon as it is trained, and the manifest is then
+    rewritten, so an interrupted build can be resumed. ``workers > 1`` trains
+    members in separate processes, which return the parameters for this
+    process to write; results are identical to a sequential build because each
+    member is seed-deterministic.
     """
     split_spec = split_spec or SplitSpec()
     seeds = member_seeds(schedule.seed, schedule.pool_size)
     expected_hash = config_hash(config)
-    out_path = None
+    members: list[TrainedMember | None] = [None] * schedule.pool_size
+    out_path = store = None
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-
-    members: list[TrainedMember | None] = [None] * schedule.pool_size
-    if out_path is not None:
-        recorded = {}  # (index, seed) -> final_loss, from the prior manifest
+        store = out_path / MEMBERS_FILE
+        recorded = {}  # (index, seed) -> final_loss, from a prior manifest of this format
         manifest_file = out_path / "manifest.json"
         if manifest_file.exists():
             try:
                 prior = json.loads(manifest_file.read_text())
-                if prior.get("config_hash") == expected_hash:
+                if (prior.get("version"), prior.get("config_hash")) == (FORMAT_VERSION,
+                                                                          expected_hash):
                     recorded = {(e["index"], e["seed"]): e["final_loss"] for e in prior["members"]}
             except (json.JSONDecodeError, KeyError, TypeError):
                 recorded = {}
-        for i, seed in enumerate(seeds):
-            ckpt = out_path / _member_filename(i)
-            # a checkpoint whose loss the manifest does not record (a crash before
-            # the manifest write) is retrained, so no member's loss is unknown
-            if not ckpt.exists() or recorded.get((i, seed)) is None:
-                continue
-            try:
-                _, meta = load_checkpoint(ckpt)
-            except (ValueError, OSError, EOFError, zipfile.BadZipFile):
-                continue  # unreadable, e.g. truncated by a crash: retrain it
-            if meta.get("config_hash") == expected_hash and meta.get("seed") == seed:
-                members[i] = TrainedMember(
-                    seed=seed,
-                    config_hash=expected_hash,
-                    final_loss=recorded[(i, seed)],
-                    first_batch_loss=float("nan"),
-                    loss_trace=[],
-                    checkpoint_path=str(ckpt),
-                )
+        try:
+            rows = open_members(store, config, schedule.pool_size)
+        except (OSError, ValueError):
+            # missing, unreadable (e.g. truncated by a crash) or of another
+            # layout: start it afresh, and every member with it
+            open_memmap(store, mode="w+", dtype=member_dtype(config), shape=(schedule.pool_size,))
+        else:
+            for i, seed in enumerate(seeds):
+                # a row whose loss the manifest does not record (a crash before
+                # the manifest write) is retrained, so no member's loss is unknown
+                if (
+                    recorded.get((i, seed)) is not None
+                    and rows[i]["config_hash"] == expected_hash.encode()
+                    and rows[i]["seed"] == seed
+                ):
+                    members[i] = TrainedMember(
+                        seed=seed,
+                        config_hash=expected_hash,
+                        final_loss=recorded[(i, seed)],
+                        first_batch_loss=float("nan"),
+                        loss_trace=[],
+                    )
+            del rows
 
     pending = [i for i in range(schedule.pool_size) if members[i] is None]
-    jobs = [
-        (
-            series_list,
-            config,
-            schedule,
-            split_spec,
-            seeds[i],
-            str(out_path / _member_filename(i)) if out_path else None,
-        )
-        for i in pending
-    ]
-
+    jobs = [(series_list, config, schedule, split_spec, seeds[i]) for i in pending]
     pool = Pool(config, schedule, split_spec, members, extra_manifest or {})
 
-    def _flush():
-        if out_path is not None:
+    def _keep(i, member):
+        members[i] = member
+        if store is not None:
+            save_checkpoint(store, i, member.params, config, member.seed)
+            member.params = None
             write_manifest(pool, out_path / "manifest.json")
 
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             for i, member in zip(pending, pool_exec.map(_train_pool_member, jobs)):
-                members[i] = member
-                _flush()
+                _keep(i, member)
     else:
         for i, job in zip(pending, jobs):
-            members[i] = _train_pool_member(job)
-            _flush()
-    if not pending:
-        _flush()  # nothing was trained: still (re)write the manifest once
+            _keep(i, _train_pool_member(job))
+    if store is not None:
+        if not pending:
+            write_manifest(pool, out_path / "manifest.json")  # still (re)write it once
+        rows = open_members(store, config, schedule.pool_size)
+        for i, member in enumerate(members):
+            member.rows, member.index = rows, i
     return pool

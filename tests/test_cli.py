@@ -7,7 +7,6 @@ import pytest
 from loadcast.cli import main
 from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
 from loadcast.model import ModelConfig, model_forward
-from loadcast.train import load_checkpoint
 
 from helpers import dm_reference
 
@@ -79,7 +78,11 @@ def test_train_writes_manifest_with_config_echo(workspace):
     assert doc["schedule"]["pool_size"] == 2
     assert doc["run"]["dataset"] == str(workspace["dataset"])
     assert doc["config_hash"]
-    assert (workspace["root"] / "pool" / "member_0000.npz").exists()
+    assert doc["members_file"] == "members.npy"
+    assert [sorted(e) for e in doc["members"]] == [["final_loss", "index", "seed"]] * 2
+    rows = np.load(workspace["root"] / "pool" / "members.npy")
+    assert rows.shape == (2,) and rows.dtype.names[:2] == ("config_hash", "seed")
+    assert [int(s) for s in rows["seed"]] == [e["seed"] for e in doc["members"]]
 
 
 def test_train_dry_run_echoes_production_defaults(tmp_path, capsys):
@@ -151,7 +154,8 @@ def test_forecast_single_member_pool_matches_member(tmp_path, workspace):
     assert header == ["series_id", "year", "month", "forecast"]
     assert len(rows) == 6
 
-    params, _ = load_checkpoint(tmp_path / "pool1" / "member_0000.npz")
+    row = np.load(tmp_path / "pool1" / "members.npy")[0]
+    params = {name: row[name] for name in row.dtype.names[2:]}
     series = load_dataset(workspace["dataset"], min_length=18)
     target = [s for s in series if s.id == "S00"][0]
     cfg = ModelConfig.from_dict(json.loads((tmp_path / "pool1" / "manifest.json").read_text())["config"])
@@ -446,11 +450,11 @@ def test_corrupt_checkpoint_is_a_runtime_failure(tmp_path, workspace, capsys):
 
     pool_dir = tmp_path / "broken_pool"
     shutil.copytree(workspace["root"] / "pool", pool_dir)
-    for member_file in pool_dir.glob("member_*.npz"):
-        member_file.write_bytes(b"not a checkpoint")
+    (pool_dir / "members.npy").write_bytes(b"not a checkpoint")
     assert run_cli("forecast", "--manifest", pool_dir / "manifest.json",
                    "--series", "S00", "--out", tmp_path / "x.csv") == 1
-    assert "runtime error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "members.npy: unreadable members file" in err
 
 
 def test_checkpoint_from_another_member_is_rejected(tmp_path, workspace, capsys):
@@ -458,11 +462,14 @@ def test_checkpoint_from_another_member_is_rejected(tmp_path, workspace, capsys)
 
     pool_dir = tmp_path / "swapped_pool"
     shutil.copytree(workspace["root"] / "pool", pool_dir)
-    shutil.copyfile(pool_dir / "member_0000.npz", pool_dir / "member_0001.npz")
+    rows = np.load(pool_dir / "members.npy", mmap_mode="r+")
+    rows[1] = rows[0]
+    rows.flush()
+    del rows
     assert run_cli("evaluate", "--manifest", pool_dir / "manifest.json",
                    "--dataset", workspace["dataset"], "--out-dir", tmp_path / "eval") == 1
     err = capsys.readouterr().err
-    assert "runtime error" in err and "member_0001.npz" in err
+    assert "runtime error" in err and "members.npy: member 1 holds" in err
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,14 @@ def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
         ({"start": [2010.5, 1]}, r"series entry 1: start must be \[year, month 1..12\]"),
         ({"values": 5}, "series entry 1: values must be a list of numbers, got int"),
         ({"values": "12"}, "series entry 1: values must be a list of numbers, got str"),
+        ({"values": [5.0, 6.0, 7.0, "12"]}, 'series entry 1: value at position 3 is not a number: "12"'),
+        ({"values": [5.0, True]}, "series entry 1: value at position 1 is not a number: true"),
+        ({"id": None}, "series entry 1: id must be a string or integer, got null"),
+        ({"id": False}, "series entry 1: id must be a string or integer, got false"),
         (None, "invalid JSON"),
     ],
-    ids=["start-int", "start-text", "start-float", "values-int", "values-text", "truncated"],
+    ids=["start-int", "start-text", "start-float", "values-int", "values-text", "value-text",
+         "value-bool", "id-null", "id-bool", "truncated"],
 )
 def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
     path = tmp_path / "d.json"
@@ -143,6 +148,15 @@ def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
         doc["series"][1].update(fault)
         path.write_text(json.dumps(doc))
     with pytest.raises(DatasetError, match=message) as raised:
+        load_dataset(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_undecodable_dataset_names_its_path(tmp_path, suffix):
+    path = tmp_path / f"d{suffix}"
+    path.write_bytes(b"\xff\xfe" + "series_id,year,month,value\n".encode("utf-16-le"))
+    with pytest.raises(DatasetError, match="cannot be read as text") as raised:
         load_dataset(path)
     assert str(raised.value).startswith(f"{path}: ")
 

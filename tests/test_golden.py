@@ -9,7 +9,7 @@ config. It then trains a pool on 16 series and evaluates it with 100 trials of
 members, so that the ensemble median takes a single middle value; it also
 forecasts that pool with an odd ensemble of 5. It compares
 every output file and the commands' stdout byte for byte with the files under
-``tests/golden/``. The only field ignored is ``created_at``. Checkpoints are
+``tests/golden/``. The only field ignored is ``created_at``. Members files are
 compared by their sha256 digest, listed in ``tests/golden/checkpoints.sha256``.
 
 The golden files pin float64 results of this numpy/BLAS build. To rewrite them
@@ -93,7 +93,7 @@ def _run_commands(root: Path, capsys) -> dict[str, bytes]:
         rel = path.relative_to(root).as_posix()
         if rel in INPUTS:
             continue
-        if path.suffix == ".npz":
+        if path.suffix == ".npy":
             digests.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}\n")
         else:
             outputs[rel] = _normalized(path.read_bytes())

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.format import open_memmap
 
 import loadcast.train as train_mod
 from loadcast.data import DatasetError, SplitSpec, TimeSeries
@@ -11,7 +13,9 @@ from loadcast.train import (
     build_pool,
     load_checkpoint,
     load_pool,
+    member_dtype,
     member_seeds,
+    open_members,
     pool_manifest,
     save_checkpoint,
     train_one,
@@ -94,30 +98,41 @@ def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
         train_one(tiny_dataset(), tiny_config(), TINY_SCHEDULE, 5, split_spec=TINY_SPLIT)
 
 
+def assert_same_params(a, b):
+    assert list(a) == list(b)
+    assert all(a[n].shape == b[n].shape and a[n].tobytes() == b[n].tobytes() for n in a)
+
+
+def row_bytes(path, index):
+    return open_memmap(path, mode="r")[index].tobytes()
+
+
 def test_checkpoint_roundtrip(tmp_path):
-    cfg = tiny_config()
-    params = init_params(cfg, 17)
-    path = tmp_path / "member.npz"
-    save_checkpoint(path, params, cfg, seed=12345)
-    loaded, meta = load_checkpoint(path)
-    assert meta["seed"] == 12345
-    assert meta["config_hash"] == config_hash(cfg)
-    assert meta["config"]["fc_width"] == cfg.fc_width
-    assert set(loaded) == set(params)
-    for name in params:
-        assert np.array_equal(loaded[name], params[name])
+    seed = member_seeds(0, 1)[0]  # a full-width uint64
+    for sharing in (True, False):
+        cfg = tiny_config(sharing=sharing)
+        params = init_params(cfg, 17)
+        path = tmp_path / f"members-{sharing}.npy"
+        open_memmap(path, mode="w+", dtype=member_dtype(cfg), shape=(3,))
+        save_checkpoint(path, 1, params, cfg, seed=seed)
+        loaded, meta = load_checkpoint(open_members(path, cfg, 3), 1)
+        assert meta == {"config_hash": config_hash(cfg), "seed": seed}
+        assert_same_params(loaded, params)
+        assert row_bytes(path, 0) == row_bytes(path, 2) == bytes(member_dtype(cfg).itemsize)
 
 
 def test_train_one_persists_checkpoint(tmp_path):
-    path = tmp_path / "m.npz"
-    member = train_one(
-        tiny_dataset(), tiny_config(), TINY_SCHEDULE, 3, split_spec=TINY_SPLIT, checkpoint_path=path
-    )
-    assert member.params is None and member.checkpoint_path == str(path)
-    params = member.load_params()
-    direct = train_one(tiny_dataset(), tiny_config(), TINY_SCHEDULE, 3, split_spec=TINY_SPLIT)
-    for name in params:
-        assert np.array_equal(params[name], direct.params[name])
+    # a pool's stored row holds exactly the parameters train_one returns
+    schedule = replace(TINY_SCHEDULE, pool_size=1)
+    for sharing in (True, False):
+        cfg = tiny_config(sharing=sharing)
+        out_dir = tmp_path / f"sharing-{sharing}"
+        member = build_pool(tiny_dataset(), cfg, schedule, split_spec=TINY_SPLIT,
+                            out_dir=out_dir).members[0]
+        assert member.params is None
+        assert (str(member.rows.filename), member.index) == (str(out_dir / "members.npy"), 0)
+        direct = train_one(tiny_dataset(), cfg, schedule, member.seed, split_spec=TINY_SPLIT)
+        assert_same_params(member.load_params(), direct.params)
 
 
 # ---------------------------------------------------------------------------
@@ -160,46 +175,56 @@ def test_pool_rebuild_gives_identical_manifest(tmp_path):
     assert pool_manifest(pool1) == pool_manifest(pool2)
 
 
-def test_pool_resume_skips_existing_members(tmp_path):
+def record_row_writes(monkeypatch):
+    written = []
+    original = train_mod.save_checkpoint
+    monkeypatch.setattr(train_mod, "save_checkpoint",
+                        lambda path, i, *args: written.append(i) or original(path, i, *args))
+    return written
+
+
+def test_pool_resume_skips_existing_members(tmp_path, monkeypatch):
     series = tiny_dataset()
+    store = tmp_path / "members.npy"
     build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
-    first_mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("member_*.npz")}
+    first = (store.stat().st_mtime_ns, store.read_bytes())
+    written = record_row_writes(monkeypatch)
     build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
-    second_mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("member_*.npz")}
-    assert first_mtimes == second_mtimes  # untouched files -> training skipped
+    assert written == [] and (store.stat().st_mtime_ns, store.read_bytes()) == first
 
-    # a config change invalidates the cache and retrains
+    # a config change invalidates the stored rows and retrains every member
     build_pool(series, tiny_config(tau=0.4), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
-    third_mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("member_*.npz")}
-    assert third_mtimes != second_mtimes
+    assert written == [0, 1] and store.read_bytes() != first[1]
 
 
-def test_partial_pool_resume_retrains_only_missing_members(tmp_path):
+def test_partial_pool_resume_retrains_only_missing_members(tmp_path, monkeypatch):
     series = tiny_dataset()
     reference = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
                            out_dir=tmp_path)
-    kept = tmp_path / "member_0000.npz"
-    lost = tmp_path / "member_0001.npz"
-    kept_mtime = kept.stat().st_mtime_ns
-    lost.unlink()
+    store, manifest = tmp_path / "members.npy", tmp_path / "manifest.json"
+    kept, lost = row_bytes(store, 0), row_bytes(store, 1)
+    doc = json.loads(manifest.read_text())
+    doc["members"] = [e for e in doc["members"] if e["index"] != 1]
+    manifest.write_text(json.dumps(doc))
 
+    written = record_row_writes(monkeypatch)
     rebuilt = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
                          out_dir=tmp_path)
-    assert kept.stat().st_mtime_ns == kept_mtime  # untouched
-    assert lost.exists()
+    assert written == [1]
+    assert (row_bytes(store, 0), row_bytes(store, 1)) == (kept, lost)
     for want, got in zip(reference.members, rebuilt.members):
-        a, b = want.load_params(), got.load_params()
-        assert all(np.array_equal(a[n], b[n]) for n in a)
+        assert_same_params(want.load_params(), got.load_params())
 
 
 def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
-    # a crash mid-write leaves a truncated zip; resume must retrain it, not abort
+    # a crash mid-write leaves a truncated members file; resume must rebuild
+    # it and retrain every member, not abort
     series = tiny_dataset()
     clean = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
                        out_dir=tmp_path / "clean")
     build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
                out_dir=tmp_path / "crashed")
-    broken = tmp_path / "crashed" / "member_0001.npz"
+    broken = tmp_path / "crashed" / "members.npy"
     broken.write_bytes(broken.read_bytes()[: broken.stat().st_size // 2])
 
     resumed = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
@@ -208,9 +233,9 @@ def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
     for doc in docs:
         doc.pop("created_at")
     assert docs[0] == docs[1]
+    assert broken.read_bytes() == (tmp_path / "clean" / "members.npy").read_bytes()
     for want, got in zip(clean.members, resumed.members):
-        a, b = want.load_params(), got.load_params()
-        assert a.keys() == b.keys() and all(np.array_equal(a[n], b[n]) for n in a)
+        assert_same_params(want.load_params(), got.load_params())
 
 
 def test_truncated_manifest_resume_matches_clean_build(tmp_path):
@@ -269,6 +294,30 @@ def test_parallel_workers_match_sequential(tmp_path):
     for a, b in zip(seq.members, par.members):
         pa, pb = a.load_params(), b.load_params()
         assert all(np.array_equal(pa[n], pb[n]) for n in pa)
+
+
+def test_parallel_build_writes_the_same_members_file(tmp_path):
+    series = tiny_dataset()
+    for workers in (1, 2):
+        build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+                   out_dir=tmp_path / str(workers), workers=workers)
+    assert (tmp_path / "1" / "members.npy").read_bytes() == (
+        tmp_path / "2" / "members.npy").read_bytes()
+
+
+def test_version_1_pool_is_refused_and_retrained(tmp_path, monkeypatch):
+    series = tiny_dataset()
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps(dict(doc, version=1)))
+    with pytest.raises(ValueError, match=f"{manifest}: pool format version 1 .* retrained"):
+        load_pool(manifest)
+
+    written = record_row_writes(monkeypatch)
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    assert written == [0, 1]
+    assert load_pool(manifest).members[1].load_params()
 
 
 def test_schedule_validation():
