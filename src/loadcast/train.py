@@ -322,8 +322,8 @@ def build_pool(
         if manifest_file.exists():
             try:
                 prior = json.loads(manifest_file.read_text())
-                if (prior.get("version"), prior.get("config_hash")) == (FORMAT_VERSION,
-                                                                          expected_hash):
+                current = prior.get("version") == FORMAT_VERSION
+                if current and prior.get("config_hash") == expected_hash:
                     recorded = {(e["index"], e["seed"]): e["final_loss"] for e in prior["members"]}
             except (json.JSONDecodeError, KeyError, TypeError):
                 recorded = {}

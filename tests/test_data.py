@@ -129,7 +129,8 @@ def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
         ({"start": [2010.5, 1]}, r"series entry 1: start must be \[year, month 1..12\]"),
         ({"values": 5}, "series entry 1: values must be a list of numbers, got int"),
         ({"values": "12"}, "series entry 1: values must be a list of numbers, got str"),
-        ({"values": [5.0, 6.0, 7.0, "12"]}, 'series entry 1: value at position 3 is not a number: "12"'),
+        ({"values": [5.0, 6.0, 7.0, "12"]},
+         'series entry 1: value at position 3 is not a number: "12"'),
         ({"values": [5.0, True]}, "series entry 1: value at position 1 is not a number: true"),
         ({"id": None}, "series entry 1: id must be a string or integer, got null"),
         ({"id": False}, "series entry 1: id must be a string or integer, got false"),
