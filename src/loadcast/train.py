@@ -96,7 +96,7 @@ def open_members(path, config: ModelConfig, pool_size: int) -> np.memmap:
     if rows.dtype != member_dtype(config) or rows.shape != (pool_size,):
         raise ValueError(
             f"{path}: expected {pool_size} rows of config {config_hash(config)}'s parameters, "
-            f"found shape {rows.shape} with fields {rows.dtype.names}"
+            f"found shape {rows.shape} with {len(rows.dtype.names or ())} fields"
         )
     return rows
 
