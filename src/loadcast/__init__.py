@@ -19,7 +19,7 @@ from .data import (
     synthetic_dataset,
     training_windows,
 )
-from .ensemble import EnsembleSpec, aggregate_forecasts, run_trials
+from .ensemble import EnsembleSpec, aggregate_forecasts, member_forecast_matrix, run_trials
 from .evaluation import (
     DMResult,
     aggregate_metrics,

@@ -24,7 +24,9 @@ import numpy as np
 
 from . import data
 from .baselines import PERIOD, seasonal_naive
-from .ensemble import EnsembleSpec, aggregate_forecasts, draw_member_indices, run_trials
+from .ensemble import (
+    EnsembleSpec, aggregate_forecasts, draw_member_indices, member_forecast_matrix, run_trials,
+)
 from .evaluation import (
     SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, per_series_table,
     point_errors,
@@ -172,17 +174,10 @@ def _load_series(dataset_path, model_cfg: ModelConfig, drop_short: bool):
 
 
 def _ensemble_from_args(base: EnsembleSpec, args) -> EnsembleSpec:
-    updates = {}
-    if getattr(args, "ensemble_size", None) is not None:
-        updates["ensemble_size"] = args.ensemble_size
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "aggregation", None) is not None:
-        updates["aggregation"] = args.aggregation
-    if getattr(args, "ensemble_seed", None) is not None:
-        updates["seed"] = args.ensemble_seed
+    flags = {"ensemble_size": args.ensemble_size, "trials": args.trials,
+             "aggregation": args.aggregation, "seed": args.ensemble_seed}
     try:
-        return replace(base, **updates) if updates else base
+        return replace(base, **{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -309,13 +304,8 @@ def cmd_forecast(args) -> int:
     members, drawn = np.unique(
         draw_member_indices(len(pool.members), spec, args.trial_index), return_inverse=True
     )
-    forecasts, contribs = [], []
-    for i in members:
-        y_hat, diag = model_forward(pool.members[i].load_params(), x, config)
-        forecasts.append(y_hat)
-        if args.decomposition:
-            contribs.append(decompose(diag))
-    aggregated = aggregate_forecasts(np.stack(forecasts), drawn[None], spec.aggregation)[0]
+    matrix = member_forecast_matrix(pool, x, members)
+    aggregated = aggregate_forecasts(matrix, drawn[None], spec.aggregation)[0]
 
     fh, writer = _open_csv(args.out, pool.config_hash, pool.schedule.seed)
     with fh:
@@ -330,6 +320,9 @@ def cmd_forecast(args) -> int:
         # Mean-aggregated block contributions stay additive, so the per-block
         # rows sum exactly to the "forecast" field below (which equals the
         # forecast CSV when aggregation=mean or the ensemble has one member).
+        contribs = [
+            decompose(model_forward(pool.members[i].load_params(), x, config)[1]) for i in members
+        ]
         mean_contrib = np.mean([contribs[i] for i in drawn], axis=0)  # (M, n_series, H)
         series_docs = {}
         for k, (s, idx) in enumerate(zip(targets, anchors)):
@@ -377,7 +370,8 @@ def cmd_evaluate(args) -> int:
     x, y, starts = data.evaluation_windows(
         series_list, pool.split, pool.config.lookback, pool.config.horizon, region=args.split
     )
-    report = run_trials(pool, spec, x, y, [s.id for s in series_list])
+    matrix = member_forecast_matrix(pool, x, range(len(pool.members)))
+    report = run_trials(matrix, spec, y, [s.id for s in series_list])
     baseline = _baseline_report(series_list, starts, y)
 
     out_dir = Path(args.out_dir)
@@ -434,7 +428,8 @@ def _train_and_score(series, cfg: RunConfig, model_cfg, schedule, region: str, w
     x, y, _ = data.evaluation_windows(
         series, cfg.split, model_cfg.lookback, model_cfg.horizon, region=region
     )
-    return pool, run_trials(pool, cfg.ensemble, x, y, [s.id for s in series])
+    matrix = member_forecast_matrix(pool, x, range(len(pool.members)))
+    return pool, run_trials(matrix, cfg.ensemble, y, [s.id for s in series])
 
 
 def cmd_ablate(args) -> int:

@@ -98,18 +98,12 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     return out
 
 
-def member_forecast_matrix(pool, x, forecast_fn=None) -> np.ndarray:
-    """Forecasts of every pool member on the lookback rows ``x``, shape (members, rows, H).
-
-    ``forecast_fn(member, x) -> (rows, H)`` overrides the model forward pass;
-    tests use it to inject oracle forecasts.
-    """
-    out = np.empty((len(pool.members), len(x), pool.config.horizon))
-    for i, member in enumerate(pool.members):
-        if forecast_fn is not None:
-            out[i] = forecast_fn(member, x)
-        else:
-            out[i] = model_forward(member.load_params(), x, pool.config)[0]
+def member_forecast_matrix(pool, x, members) -> np.ndarray:
+    """Forecasts of the pool members numbered ``members`` on the lookback rows
+    ``x``, shape (len(members), rows, H), one forward pass per member."""
+    out = np.empty((len(members), len(x), pool.config.horizon))
+    for k, i in enumerate(members):
+        out[k] = model_forward(pool.members[i].load_params(), x, pool.config)[0]
     return out
 
 
@@ -137,22 +131,27 @@ class TrialsReport:
         }
 
 
-def run_trials(pool, spec: EnsembleSpec, x, y, series_ids, forecast_fn=None) -> TrialsReport:
-    """Draw ``spec.trials`` bootstrap ensembles and score each on the rows of
-    lookbacks ``x`` and targets ``y``, one row per series in ``series_ids``."""
-    if not pool.members:
+def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
+    """Draw ``spec.trials`` bootstrap ensembles from the pool whose member
+    forecasts are ``matrix``, shape (members, rows, H) (see
+    ``member_forecast_matrix``), and score each against the targets ``y``, one
+    row per series in ``series_ids``."""
+    matrix = np.asarray(matrix)
+    ids = list(series_ids)
+    if len(matrix) == 0:
         raise ValueError("cannot evaluate an empty pool")
-    if len(x) == 0:
+    if len(y) == 0:
         raise ValueError("no evaluation windows")
-    if len(set(series_ids)) != len(y):
-        raise ValueError("need exactly one evaluation row per series id")
-    draws = [draw_member_indices(len(pool.members), spec, trial) for trial in range(spec.trials)]
-    forecasts = aggregate_forecasts(
-        member_forecast_matrix(pool, x, forecast_fn), draws, spec.aggregation
-    )
+    if len(set(ids)) != len(ids) or len(ids) != len(y):
+        raise ValueError(f"need exactly one evaluation row per series id, got {len(ids)} ids "
+                         f"({len(set(ids))} distinct) for {len(y)} rows")
+    if matrix.shape[1:] != np.shape(y):
+        raise ValueError(f"member forecasts {matrix.shape[1:]} do not match the targets "
+                         f"{np.shape(y)}")
+    draws = [draw_member_indices(len(matrix), spec, trial) for trial in range(spec.trials)]
+    forecasts = aggregate_forecasts(matrix, draws, spec.aggregation)
 
     # score the series in id order
-    ids = list(series_ids)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     scores = aggregate_metrics(np.take(y, order, axis=0), np.take(forecasts, order, axis=1))
     values = scores["aggregate"]

@@ -49,30 +49,34 @@ class TrainSchedule:
             raise ValueError("lr must be positive")
 
 
+@dataclass(frozen=True)
+class TrainResult:
+    """What ``train_one`` returns: the trained parameters and the per-epoch loss trace."""
+
+    params: dict
+    loss_trace: list
+
+
 @dataclass
 class TrainedMember:
-    """One trained model: seed, loss history, and its parameters, held in
-    memory or as row ``index`` of ``rows``, its pool's members file."""
+    """A pool member: its seed and loss history, and its parameters as row
+    ``index`` of ``rows``, the pool's ``member_dtype`` array (the memory-mapped
+    members file, or an array in memory for a pool built without one)."""
 
     seed: int
     config_hash: str
     final_loss: float
-    first_batch_loss: float
     loss_trace: list
-    params: dict | None = None
-    rows: np.ndarray | None = None
-    index: int | None = None
+    rows: np.ndarray
+    index: int
 
     def load_params(self) -> dict:
-        if self.params is not None:
-            return self.params
-        if self.rows is None:
-            raise ValueError("member has neither in-memory parameters nor a stored row")
         params, meta = load_checkpoint(self.rows, self.index)
         if meta["config_hash"] != self.config_hash or meta["seed"] != self.seed:
             raise ValueError(
-                f"{self.rows.filename}: member {self.index} holds config {meta['config_hash']} "
-                f"seed {meta['seed']}, expected config {self.config_hash} seed {self.seed}"
+                f"{getattr(self.rows, 'filename', 'pool')}: member {self.index} holds config "
+                f"{meta['config_hash']} seed {meta['seed']}, "
+                f"expected config {self.config_hash} seed {self.seed}"
             )
         return params
 
@@ -101,9 +105,9 @@ def open_members(path, config: ModelConfig, pool_size: int) -> np.memmap:
     return rows
 
 
-def save_checkpoint(path, index: int, params: dict, config: ModelConfig, seed: int) -> None:
-    """Write member ``index``'s row of the members file at ``path`` in place."""
-    row = open_memmap(path, mode="r+")[index]
+def save_checkpoint(rows, index: int, params: dict, config: ModelConfig, seed: int) -> None:
+    """Write member ``index``'s row of ``rows``, a ``member_dtype`` array, in place."""
+    row = rows[index]
     row["config_hash"] = config_hash(config)
     row["seed"] = seed
     for name, value in params.items():
@@ -111,7 +115,7 @@ def save_checkpoint(path, index: int, params: dict, config: ModelConfig, seed: i
 
 
 def load_checkpoint(rows, index: int):
-    """Copy member ``index``'s row of an opened members file; returns
+    """Copy member ``index``'s row of ``rows``; returns
     (params dict, metadata dict with ``config_hash`` and ``seed``)."""
     row = rows[index]
     params = {name: np.array(row[name]) for name in rows.dtype.names[2:]}
@@ -130,7 +134,7 @@ def train_one(
     member_seed: int,
     *,
     split_spec: SplitSpec | None = None,
-) -> TrainedMember:
+) -> TrainResult:
     """Train a single model; fully reproducible from (config, schedule, member_seed)."""
     all_x, all_y, counts = training_windows(
         series_list, split_spec, config.lookback, config.horizon
@@ -157,7 +161,6 @@ def train_one(
     state = AdamState(lr=schedule.lr)
 
     trace = []
-    first_batch_loss = None
     for epoch in range(schedule.epochs):
         sums = {"loss": 0.0, "pmape": 0.0, "nmse_term": 0.0}
         for step in range(schedule.batches_per_epoch):
@@ -175,22 +178,13 @@ def train_one(
                     + (f"; offending series: {', '.join(bad)}" if bad else "")
                 )
             adam_step(params, grads, state)
-            if first_batch_loss is None:
-                first_batch_loss = loss_value
             sums["loss"] += loss_value
             sums["pmape"] += components["pmape"]
             sums["nmse_term"] += components["nmse_term"]
         k = schedule.batches_per_epoch
         trace.append({"epoch": epoch + 1, **{key: val / k for key, val in sums.items()}})
 
-    return TrainedMember(
-        seed=int(member_seed),
-        config_hash=config_hash(config),
-        final_loss=trace[-1]["loss"],
-        first_batch_loss=float(first_batch_loss),
-        loss_trace=trace,
-        params=params,
-    )
+    return TrainResult(params, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +249,9 @@ def write_manifest(pool: Pool, path) -> dict:
 
 
 def load_pool(manifest_path) -> Pool:
-    """Reconstruct a pool from its manifest; member parameters load lazily,
-    each from its own row of the members file."""
+    """Reconstruct a pool from its manifest, which must list each member
+    0..pool_size-1 exactly once; member parameters load lazily, each from its
+    own row of the members file."""
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         doc = json.load(fh)
@@ -267,24 +262,37 @@ def load_pool(manifest_path) -> Pool:
             f"{manifest_path}: pool format version {doc.get('version')} is not read by this "
             f"version of loadcast (format {FORMAT_VERSION}); the pool must be retrained"
         )
-    config = ModelConfig.from_dict(doc["config"])
-    if config_hash(config) != doc["config_hash"]:
-        raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
-    schedule = TrainSchedule(**doc["schedule"])
-    split_spec = SplitSpec(**doc["split"])
-    rows = open_members(manifest_path.parent / doc["members_file"], config, schedule.pool_size)
-    members = [
-        TrainedMember(
-            seed=entry["seed"],
-            config_hash=doc["config_hash"],
-            final_loss=entry.get("final_loss", float("nan")),
-            first_batch_loss=float("nan"),
-            loss_trace=[],
-            rows=rows,
-            index=entry["index"],
+    try:
+        config, expected_hash = ModelConfig.from_dict(doc["config"]), doc["config_hash"]
+        if config_hash(config) != expected_hash:
+            raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
+        schedule = TrainSchedule(**doc["schedule"])
+        split_spec = SplitSpec(**doc["split"])
+        size = schedule.pool_size
+        rows = open_members(manifest_path.parent / doc["members_file"], config, size)
+        entries = doc["members"]
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: manifest has no field {exc}") from None
+    members: list[TrainedMember | None] = [None] * size
+    for k, entry in enumerate(entries):
+        index = entry.get("index")
+        if "seed" not in entry:
+            problem = "has no seed"
+        elif type(index) is not int or not 0 <= index < size:
+            problem = f"has index {index!r}, outside 0..{size - 1}"
+        elif members[index] is not None:
+            problem = f"repeats member {index}"
+        else:
+            final_loss = entry.get("final_loss", float("nan"))
+            members[index] = TrainedMember(entry["seed"], expected_hash, final_loss, [], rows, index)
+            continue
+        raise ValueError(f"{manifest_path}: member entry {k} {problem}; the manifest is corrupt")
+    missing = [i for i, member in enumerate(members) if member is None]
+    if missing:
+        raise ValueError(
+            f"{manifest_path}: no entry for member(s) {missing} of a pool of {size}, as an "
+            "interrupted train leaves it; rerun train into the same directory to finish the pool"
         )
-        for entry in doc["members"]
-    ]
     return Pool(config, schedule, split_spec, members, doc.get("run", {}))
 
 
@@ -300,20 +308,22 @@ def build_pool(
 ) -> Pool:
     """Train ``schedule.pool_size`` members; resumes from a partial build.
 
-    With ``out_dir`` set, the members file ``members.npy`` is created at full
-    size (or reopened, when it already holds this pool's layout), each member's
-    row is written as soon as it is trained, and the manifest is then
-    rewritten, so an interrupted build can be resumed. ``workers > 1`` trains
-    members in separate processes, which return the parameters for this
-    process to write; results are identical to a sequential build because each
-    member is seed-deterministic.
+    Each trained member's parameters are written to its row of a
+    ``member_dtype`` array. With ``out_dir`` set, that array is the members
+    file ``members.npy``, created at full size (or reopened, when it already
+    holds this pool's layout), and the manifest is rewritten after each row,
+    so an interrupted build can be resumed; without it, the array is held in
+    memory. ``workers > 1`` trains members in separate processes, which return
+    the parameters for this process to write; results are identical to a
+    sequential build because each member is seed-deterministic.
     """
     split_spec = split_spec or SplitSpec()
     seeds = member_seeds(schedule.seed, schedule.pool_size)
     expected_hash = config_hash(config)
     members: list[TrainedMember | None] = [None] * schedule.pool_size
-    out_path = store = None
-    if out_dir is not None:
+    if out_dir is None:
+        rows = np.zeros(schedule.pool_size, dtype=member_dtype(config))
+    else:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         store = out_path / MEMBERS_FILE
@@ -333,46 +343,38 @@ def build_pool(
             # missing, unreadable (e.g. truncated by a crash) or of another
             # layout: start it afresh, and every member with it
             open_memmap(store, mode="w+", dtype=member_dtype(config), shape=(schedule.pool_size,))
-        else:
-            for i, seed in enumerate(seeds):
-                # a row whose loss the manifest does not record (a crash before
-                # the manifest write) is retrained, so no member's loss is unknown
-                if (
-                    recorded.get((i, seed)) is not None
-                    and rows[i]["config_hash"] == expected_hash.encode()
-                    and rows[i]["seed"] == seed
-                ):
-                    members[i] = TrainedMember(
-                        seed=seed,
-                        config_hash=expected_hash,
-                        final_loss=recorded[(i, seed)],
-                        first_batch_loss=float("nan"),
-                        loss_trace=[],
-                    )
-            del rows
+            rows = open_members(store, config, schedule.pool_size)
+        for i, seed in enumerate(seeds):
+            # a row whose loss the manifest does not record (a crash before
+            # the manifest write) is retrained, so no member's loss is unknown
+            if (
+                recorded.get((i, seed)) is not None
+                and rows[i]["config_hash"] == expected_hash.encode()
+                and rows[i]["seed"] == seed
+            ):
+                members[i] = TrainedMember(seed, expected_hash, recorded[(i, seed)], [], rows, i)
 
     pending = [i for i in range(schedule.pool_size) if members[i] is None]
     jobs = [(series_list, config, schedule, split_spec, seeds[i]) for i in pending]
     pool = Pool(config, schedule, split_spec, members, extra_manifest or {})
 
-    def _keep(i, member):
-        members[i] = member
-        if store is not None:
-            save_checkpoint(store, i, member.params, config, member.seed)
-            member.params = None
+    def _keep(i, result: TrainResult):
+        # a file's row is written through a map of its own, so that the rows
+        # written do not stay resident while the build goes on
+        target = rows if out_dir is None else open_memmap(store, mode="r+")
+        save_checkpoint(target, i, result.params, config, seeds[i])
+        final_loss = result.loss_trace[-1]["loss"]
+        members[i] = TrainedMember(seeds[i], expected_hash, final_loss, result.loss_trace, rows, i)
+        if out_dir is not None:
             write_manifest(pool, out_path / "manifest.json")
 
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            for i, member in zip(pending, pool_exec.map(_train_pool_member, jobs)):
-                _keep(i, member)
+            for i, result in zip(pending, pool_exec.map(_train_pool_member, jobs)):
+                _keep(i, result)
     else:
         for i, job in zip(pending, jobs):
             _keep(i, _train_pool_member(job))
-    if store is not None:
-        if not pending:
-            write_manifest(pool, out_path / "manifest.json")  # still (re)write it once
-        rows = open_members(store, config, schedule.pool_size)
-        for i, member in enumerate(members):
-            member.rows, member.index = rows, i
+    if out_dir is not None and not pending:
+        write_manifest(pool, out_path / "manifest.json")  # still (re)write it once
     return pool

@@ -472,6 +472,40 @@ def test_checkpoint_from_another_member_is_rejected(tmp_path, workspace, capsys)
     assert "runtime error" in err and "members.npy: member 1 holds" in err
 
 
+def test_interrupted_pool_manifest_is_refused(tmp_path, workspace, capsys):
+    # an interrupted train leaves a manifest listing only the members trained
+    import shutil
+
+    pool_dir = tmp_path / "partial_pool"
+    shutil.copytree(workspace["root"] / "pool", pool_dir)
+    manifest = pool_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["members"] = doc["members"][:1]
+    manifest.write_text(json.dumps(doc))
+    assert run_cli("evaluate", "--manifest", manifest, "--out-dir", tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert f"{manifest}: no entry for member(s) [1] of a pool of 2" in err
+    assert "rerun train into the same directory" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_forecast_runs_each_drawn_member_once(tmp_path, workspace, monkeypatch):
+    import loadcast.ensemble as ensemble_mod
+    import loadcast.train as train_mod
+
+    loads, forwards = [], []
+    load_params = train_mod.TrainedMember.load_params
+    forward = ensemble_mod.model_forward
+    monkeypatch.setattr(train_mod.TrainedMember, "load_params",
+                        lambda member: loads.append(member.index) or load_params(member))
+    monkeypatch.setattr(ensemble_mod, "model_forward",
+                        lambda *args: forwards.append(1) or forward(*args))
+    monkeypatch.setattr("loadcast.cli.model_forward", None)  # only --decomposition uses it
+    assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "all",
+                   "--ensemble-size", 64, "--out", tmp_path / "fc.csv") == 0
+    assert sorted(loads) == [0, 1] and len(forwards) == 2
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -12,25 +12,27 @@ from loadcast.ensemble import (
     member_forecast_matrix,
     run_trials,
 )
-from loadcast.model import config_hash, init_params
-from loadcast.train import Pool, TrainSchedule, TrainedMember
+from loadcast.model import config_hash, init_params, model_forward
+from loadcast.train import Pool, TrainSchedule, TrainedMember, member_dtype, save_checkpoint
 
 from helpers import median_reference, tiny_config
 
 
 def make_pool(n_members, seed0=0, identical=False):
     cfg = tiny_config(sharing=True)
+    rows = np.zeros(n_members, dtype=member_dtype(cfg))
     members = []
     for i in range(n_members):
         params = init_params(cfg, seed0 if identical else seed0 + i)
-        members.append(
-            TrainedMember(
-                seed=seed0 + i, config_hash=config_hash(cfg), final_loss=0.0,
-                first_batch_loss=0.0, loss_trace=[], params=params,
-            )
-        )
+        save_checkpoint(rows, i, params, cfg, seed0 + i)
+        members.append(TrainedMember(seed0 + i, config_hash(cfg), 0.0, [], rows, i))
     return Pool(config=cfg, schedule=TrainSchedule(pool_size=n_members), split=SplitSpec(),
                 members=members)
+
+
+def score_pool(pool, spec, x, y, ids):
+    """``run_trials`` on every member's forecasts of the lookback rows ``x``."""
+    return run_trials(member_forecast_matrix(pool, x, range(len(pool.members))), spec, y, ids)
 
 
 def make_windows_fixture(n_series=3, seed=0):
@@ -219,7 +221,7 @@ def test_median_lies_within_drawn_members_and_scales(members, size, values, seed
 def test_single_trial_report_equals_averaged_report():
     pool = make_pool(3)
     spec = EnsembleSpec(ensemble_size=2, trials=1, seed=3)
-    report = run_trials(pool, spec, *make_windows_fixture())
+    report = score_pool(pool, spec, *make_windows_fixture())
     only = report.per_trial[0]
     assert sorted(only) == sorted(report.averaged)
     for name, value in report.averaged.items():
@@ -231,16 +233,15 @@ def test_single_trial_report_equals_averaged_report():
 def test_identical_members_have_zero_trial_variance():
     pool = make_pool(5, identical=True)
     spec = EnsembleSpec(ensemble_size=3, trials=8, seed=0)
-    report = run_trials(pool, spec, *make_windows_fixture())
+    report = score_pool(pool, spec, *make_windows_fixture())
     for name in report.averaged:
         assert report.spread[name]["std"] == 0.0
 
 
-def test_perfect_oracle_hook_gives_zero_metrics():
-    pool = make_pool(4)
+def test_perfect_oracle_matrix_gives_zero_metrics():
     spec = EnsembleSpec(ensemble_size=3, trials=5, seed=2)
-    x, y, ids = make_windows_fixture()
-    report = run_trials(pool, spec, x, y, ids, forecast_fn=lambda m, rows: y)
+    _, y, ids = make_windows_fixture()
+    report = run_trials(np.stack([y] * 4), spec, y, ids)
     for name in ("mape", "medape", "iqr_ape", "rmse", "mpe"):
         assert report.averaged[name] == 0.0
     assert np.allclose(report.mean_forecast, y, rtol=1e-15)
@@ -250,8 +251,8 @@ def test_run_trials_end_to_end_finite_and_deterministic():
     pool = make_pool(6)
     spec = EnsembleSpec(ensemble_size=4, trials=6, seed=9)
     windows = make_windows_fixture()
-    a = run_trials(pool, spec, *windows)
-    b = run_trials(pool, spec, *windows)
+    a = score_pool(pool, spec, *windows)
+    b = score_pool(pool, spec, *windows)
     assert a.averaged == b.averaged
     assert all(np.isfinite(v) for v in a.averaged.values())
     assert set(a.per_series_averaged) == {"W0", "W1", "W2"}
@@ -262,35 +263,36 @@ def test_run_trials_is_independent_of_row_order():
     pool = make_pool(5)
     spec = EnsembleSpec(ensemble_size=4, trials=16, seed=1)
     x, y, ids = make_windows_fixture(n_series=12)
-    forward = run_trials(pool, spec, x, y, ids)
-    backward = run_trials(pool, spec, x[::-1], y[::-1], ids[::-1])
+    forward = score_pool(pool, spec, x, y, ids)
+    backward = score_pool(pool, spec, x[::-1], y[::-1], ids[::-1])
     assert backward.to_dict() == forward.to_dict()
     assert list(backward.to_dict()["per_series"]) == sorted(ids)
     assert np.array_equal(backward.mean_forecast, forward.mean_forecast[::-1])
 
 
-def test_member_forecast_matrix_shape_and_hook():
-    pool = make_pool(2)
+def test_member_forecast_matrix_forecasts_the_given_members():
+    pool = make_pool(3)
     x, _, _ = make_windows_fixture()
-    matrix = member_forecast_matrix(
-        pool, x, forecast_fn=lambda m, rows: np.full((len(rows), 3), m.seed)
-    )
+    each = [model_forward(m.load_params(), x, pool.config)[0] for m in pool.members]
+    matrix = member_forecast_matrix(pool, x, [2, 0])
     assert matrix.shape == (2, 3, 3)
-    assert np.all(matrix[0] == pool.members[0].seed)
-    assert np.all(matrix[1] == pool.members[1].seed)
+    assert np.array_equal(matrix, np.stack([each[2], each[0]]))
+    assert np.array_equal(member_forecast_matrix(pool, x, range(3)), np.stack(each))
 
 
 def test_run_trials_validates_inputs():
-    pool = make_pool(2)
     with pytest.raises(ValueError, match="windows"):
-        run_trials(pool, EnsembleSpec(), np.empty((0, 6)), np.empty((0, 3)), [])
+        run_trials(np.empty((2, 0, 3)), EnsembleSpec(), np.empty((0, 3)), [])
     x, y, _ = make_windows_fixture()
+    matrix = member_forecast_matrix(make_pool(2), x, [0, 1])
     with pytest.raises(ValueError, match="one evaluation row per series"):
-        run_trials(pool, EnsembleSpec(), x, y, ["W0", "W0", "W1"])
-    empty = make_pool(2)
-    empty.members = []
+        run_trials(matrix, EnsembleSpec(), y, ["W0", "W0", "W1"])
+    with pytest.raises(ValueError, match="one evaluation row per series"):
+        run_trials(matrix, EnsembleSpec(), y, ["W0", "W0", "W1", "W2"])
+    with pytest.raises(ValueError, match=r"forecasts \(2, 3\) do not match the targets \(3, 3\)"):
+        run_trials(matrix[:, :2], EnsembleSpec(), y, ["W0", "W1", "W2"])
     with pytest.raises(ValueError, match="empty pool"):
-        run_trials(empty, EnsembleSpec(), *make_windows_fixture())
+        run_trials(matrix[:0], EnsembleSpec(), y, ["W0", "W1", "W2"])
 
 
 def test_spec_validation():

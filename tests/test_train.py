@@ -37,10 +37,10 @@ def tiny_dataset(n=2, months=42, noise=0.01):
 
 def test_training_reduces_loss_on_clean_sinusoid_with_trend():
     series = [sinusoid_trend_series(months=48, noise=0.0)]
-    member = train_one(series, tiny_config(), TINY_SCHEDULE, 7, split_spec=TINY_SPLIT)
-    assert member.final_loss < member.first_batch_loss
-    assert len(member.loss_trace) == 2
-    assert {"epoch", "loss", "pmape", "nmse_term"} <= member.loss_trace[0].keys()
+    trace = train_one(series, tiny_config(), TINY_SCHEDULE, 7, split_spec=TINY_SPLIT).loss_trace
+    assert trace[-1]["loss"] < trace[0]["loss"]
+    assert len(trace) == 2
+    assert {"epoch", "loss", "pmape", "nmse_term"} <= trace[0].keys()
 
 
 def test_training_is_bit_deterministic():
@@ -66,10 +66,10 @@ def test_constant_target_window_is_surfaced_before_training():
     with pytest.raises(DatasetError, match="FLAT.*constant target"):
         train_one(flat, tiny_config(), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT)
     # disabling the variance normalization (or the L2 term) lifts the guard
-    member = train_one(
+    result = train_one(
         flat, tiny_config(ablation=frozenset({"noVar"})), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT
     )
-    assert np.isfinite(member.final_loss)
+    assert np.isfinite(result.loss_trace[-1]["loss"])
 
 
 def test_constant_target_names_its_series_and_anchor():
@@ -109,17 +109,22 @@ def row_bytes(path, index):
 
 
 def test_checkpoint_roundtrip(tmp_path):
+    # a row round-trips bit for bit, in the members file and in memory
     seed = member_seeds(0, 1)[0]  # a full-width uint64
     for sharing in (True, False):
         cfg = tiny_config(sharing=sharing)
         params = init_params(cfg, 17)
         path = tmp_path / f"members-{sharing}.npy"
-        open_memmap(path, mode="w+", dtype=member_dtype(cfg), shape=(3,))
-        save_checkpoint(path, 1, params, cfg, seed=seed)
-        loaded, meta = load_checkpoint(open_members(path, cfg, 3), 1)
-        assert meta == {"config_hash": config_hash(cfg), "seed": seed}
-        assert_same_params(loaded, params)
+        save_checkpoint(open_memmap(path, mode="w+", dtype=member_dtype(cfg), shape=(3,)), 1,
+                        params, cfg, seed=seed)
+        in_memory = np.zeros(3, dtype=member_dtype(cfg))
+        save_checkpoint(in_memory, 1, params, cfg, seed=seed)
+        for rows in (open_members(path, cfg, 3), in_memory):
+            loaded, meta = load_checkpoint(rows, 1)
+            assert meta == {"config_hash": config_hash(cfg), "seed": seed}
+            assert_same_params(loaded, params)
         assert row_bytes(path, 0) == row_bytes(path, 2) == bytes(member_dtype(cfg).itemsize)
+        assert in_memory.tobytes() == open_memmap(path, mode="r").tobytes()
 
 
 def test_train_one_persists_checkpoint(tmp_path):
@@ -130,7 +135,7 @@ def test_train_one_persists_checkpoint(tmp_path):
         out_dir = tmp_path / f"sharing-{sharing}"
         member = build_pool(tiny_dataset(), cfg, schedule, split_spec=TINY_SPLIT,
                             out_dir=out_dir).members[0]
-        assert member.params is None
+        assert not hasattr(member, "params")
         assert (str(member.rows.filename), member.index) == (str(out_dir / "members.npy"), 0)
         direct = train_one(tiny_dataset(), cfg, schedule, member.seed, split_spec=TINY_SPLIT)
         assert_same_params(member.load_params(), direct.params)
@@ -180,7 +185,7 @@ def record_row_writes(monkeypatch):
     written = []
     original = train_mod.save_checkpoint
     monkeypatch.setattr(train_mod, "save_checkpoint",
-                        lambda path, i, *args: written.append(i) or original(path, i, *args))
+                        lambda rows, i, *args: written.append(i) or original(rows, i, *args))
     return written
 
 
@@ -284,6 +289,40 @@ def test_pool_manifest_loads_back(tmp_path):
     for got, want in zip(loaded.members, built.members):
         a, b = got.load_params(), want.load_params()
         assert all(np.array_equal(a[n], b[n]) for n in a)
+
+
+def test_pool_built_in_memory_holds_the_members_file_rows(tmp_path):
+    # without out_dir the members are rows of the same dtype, held in memory
+    series = tiny_dataset()
+    stored = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+                        out_dir=tmp_path)
+    in_memory = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT)
+    rows = in_memory.members[0].rows
+    assert type(rows) is np.ndarray and rows.dtype == member_dtype(tiny_config())
+    assert [(m.rows is rows, m.index) for m in in_memory.members] == [(True, 0), (True, 1)]
+    assert rows.tobytes() == open_memmap(tmp_path / "members.npy", mode="r").tobytes()
+    assert pool_manifest(in_memory) == pool_manifest(stored)
+    assert [m.loss_trace for m in in_memory.members] == [m.loss_trace for m in stored.members]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # what an interrupted train leaves
+    (lambda doc: doc["members"].pop(),
+     r"no entry for member\(s\) \[1\] of a pool of 2, .*rerun train"),
+    (lambda doc: doc["members"][1].pop("seed"), "member entry 1 has no seed"),
+    (lambda doc: doc["members"][1].update(index=7), "member entry 1 has index 7, outside 0..1"),
+    (lambda doc: doc["members"][1].update(index=0), "member entry 1 repeats member 0"),
+    (lambda doc: doc.pop("schedule"), "manifest has no field 'schedule'"),
+], ids=["interrupted", "no-seed", "index-out-of-range", "repeated-index", "no-schedule"])
+def test_load_pool_refuses_a_manifest_not_listing_each_member_once(tmp_path, edit, message):
+    build_pool(tiny_dataset(), tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+               out_dir=tmp_path)
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: ") + message):
+        load_pool(manifest)
 
 
 def test_parallel_workers_match_sequential(tmp_path):
