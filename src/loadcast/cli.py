@@ -174,10 +174,17 @@ def _load_series(dataset_path, model_cfg: ModelConfig, drop_short: bool):
 
 
 def _ensemble_from_args(base: EnsembleSpec, args) -> EnsembleSpec:
-    flags = {"ensemble_size": args.ensemble_size, "trials": args.trials,
-             "aggregation": args.aggregation, "seed": args.ensemble_seed}
+    updates = {}
+    if getattr(args, "ensemble_size", None) is not None:
+        updates["ensemble_size"] = args.ensemble_size
+    if getattr(args, "trials", None) is not None:
+        updates["trials"] = args.trials
+    if getattr(args, "aggregation", None) is not None:
+        updates["aggregation"] = args.aggregation
+    if getattr(args, "ensemble_seed", None) is not None:
+        updates["seed"] = args.ensemble_seed
     try:
-        return replace(base, **{name: value for name, value in flags.items() if value is not None})
+        return replace(base, **updates) if updates else base
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
