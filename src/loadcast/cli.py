@@ -86,6 +86,10 @@ def _apply_override(doc: dict, assignment: str) -> None:
 
 
 def _build_section(cls, doc: dict, section: str):
+    if not isinstance(doc, dict):
+        kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(
+            type(doc), "number")
+        raise ConfigError(f"config section '{section}' must be a JSON object, got {kind}")
     valid = {f.name for f in dataclass_fields(cls)}
     unknown = set(doc) - valid
     if unknown:
@@ -218,6 +222,9 @@ def _open_pool(args, series_ids):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    for flag, value in (("--series", args.series), ("--months", args.months)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     series = data.synthetic_dataset(
         n_series=args.series,
         months=args.months,

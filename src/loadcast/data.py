@@ -64,22 +64,6 @@ class TimeSeries:
         return index_to_month(month_index(*self.start) + index)
 
 
-def validate_series(series: TimeSeries, min_length: int) -> None:
-    """Check positivity, finiteness, and minimum length; raise DatasetError."""
-    if len(series) < min_length:
-        raise DatasetError(
-            f"series '{series.id}' has {len(series)} months, needs at least {min_length}"
-        )
-    if not np.all(np.isfinite(series.values)):
-        raise DatasetError(f"series '{series.id}' contains non-finite values")
-    if np.any(series.values <= 0.0):
-        offset = int(np.argmax(series.values <= 0.0))
-        raise DatasetError(
-            f"series '{series.id}' has non-positive value at offset {offset}: "
-            "demand values must be strictly positive"
-        )
-
-
 def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
     per_id: dict[str, list[tuple[int, float, str]]] = {}
     with open(path, newline="") as fh:
@@ -210,7 +194,6 @@ def load_dataset(
         if len(series) < min_length:
             short.append(f"{sid} ({len(series)} months)")
             continue
-        validate_series(series, min_length)
         out.append(series)
     if short:
         msg = f"{path}: series shorter than {min_length} months: {', '.join(short)}"

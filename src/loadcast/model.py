@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +51,7 @@ class ModelConfig:
         for name in ("lookback", "horizon", "blocks", "fc_width", "fc_layers"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
-        if self.nmse_weight < 0.0:
-            raise ValueError("nmse_weight must be >= 0")
+        self.loss_config()  # LossConfig checks tau and nmse_weight
 
     @property
     def no_destd(self) -> bool:
@@ -143,19 +141,31 @@ def normalize_input(x: np.ndarray):
     return x / scale[:, None], scale
 
 
-@dataclass
-class Diagnostics:
-    """Per-block traces of one forward pass, for decomposition and plotting.
+class Block(NamedTuple):
+    """What one block of ``model_forward`` computed, in the normalized scale.
 
-    ``inputs``/``backcasts``/``forecasts`` are in the normalized scale;
-    ``forecast_total`` is the final denormalized forecast.
+    ``hidden`` is the block input followed by each fc layer's output.
+    ``backcast`` and ``forecast`` are the raw head outputs rescaled by ``sd``
+    and shifted by the input's row mean. Under ``noDestd`` they are the raw
+    outputs, and ``centered`` (the input minus its row mean) and ``sd`` (its
+    row std) are None.
     """
 
+    prefix: str
+    hidden: list[np.ndarray]
+    raw_backcast: np.ndarray
+    raw_forecast: np.ndarray
+    centered: np.ndarray | None
+    sd: np.ndarray | None
+    backcast: np.ndarray
+    forecast: np.ndarray
+
+
+class Forward(NamedTuple):
+    """Record of one forward pass: each row's input ``scale`` and one ``Block`` per block."""
+
     scale: np.ndarray
-    inputs: list[np.ndarray]
-    backcasts: list[np.ndarray]
-    forecasts: list[np.ndarray]
-    forecast_total: np.ndarray | None = None
+    blocks: list[Block]
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,21 +179,18 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(params: dict, x: np.ndarray, config: ModelConfig):
+def model_forward(params: dict, x, config: ModelConfig):
     """Run the model on a batch of lookback rows.
 
-    Returns ``(y_hat of shape (n, horizon), Diagnostics, trace)``; ``trace[m]``
-    holds what the backward pass needs of block m: its parameter prefix, its
-    layer outputs (the block input first), raw head outputs, centered input and
-    input std.
+    Returns ``(y_hat of shape (n, horizon), Forward)``. The record holds what
+    the backward pass and ``decompose`` read of every block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.lookback:
         raise ValueError(f"expected lookback batch of shape (n, {config.lookback}), got {x.shape}")
     normed, scale = normalize_input(x)
     prefixes = parameter_prefixes(config)
-    diag = Diagnostics(scale=scale, inputs=[], backcasts=[], forecasts=[])
-    trace = []
+    blocks = []
     x_m = normed
     forecast_sum = None
     for m in range(config.blocks):
@@ -202,34 +209,29 @@ def _forward(params: dict, x: np.ndarray, config: ModelConfig):
             centered = x_m - mu
             sd = np.sqrt((centered**2).mean(axis=-1, keepdims=True))
             backcast, forecast = raw_b * sd + mu, raw_f * sd + mu
-        trace.append((prefix, hidden, raw_b, raw_f, centered, sd))
-        diag.inputs.append(x_m)
-        diag.backcasts.append(backcast)
-        diag.forecasts.append(forecast)
+        blocks.append(Block(prefix, hidden, raw_b, raw_f, centered, sd, backcast, forecast))
         forecast_sum = forecast if forecast_sum is None else forecast_sum + forecast
         if m + 1 < config.blocks:
             residual = x_m - backcast
             x_m = residual if config.no_relu else np.maximum(residual, 0.0)
-    y_hat = forecast_sum * scale[:, None]
-    diag.forecast_total = y_hat
-    return y_hat, diag, trace
+    return forecast_sum * scale[:, None], Forward(scale, blocks)
 
 
-def _backward(params: dict, diag: Diagnostics, trace: list, g_y_hat, config: ModelConfig):
-    """Reverse pass of ``_forward``: d(loss)/d(param) from d(loss)/d(y_hat)."""
+def _backward(params: dict, forward: Forward, g_y_hat, config: ModelConfig):
+    """Reverse pass of ``model_forward``: d(loss)/d(param) from d(loss)/d(y_hat)."""
     grads: dict[str, np.ndarray] = {}
 
     def accumulate(name, g):
         grads[name] = grads[name] + g if name in grads else g
 
-    g_sum = g_y_hat * diag.scale[:, None]  # every block forecast gets this gradient
+    g_sum = g_y_hat * forward.scale[:, None]  # every block forecast gets this gradient
     g_next = None  # d(loss)/d(input of block m + 1)
     for m in reversed(range(config.blocks)):
-        prefix, hidden, raw_b, raw_f, centered, sd = trace[m]
+        prefix, hidden, raw_b, raw_f, centered, sd, _, _ = forward.blocks[m]
         g_input = []  # terms of d(loss)/d(block input), summed in this order
         g_backcast = None  # stays None in the last block: its backcast feeds nothing
         if g_next is not None:
-            g_residual = g_next if config.no_relu else g_next * (diag.inputs[m + 1] > 0.0)
+            g_residual = g_next if config.no_relu else g_next * (forward.blocks[m + 1].hidden[0] > 0.0)
             g_input.append(g_residual)
             g_backcast = -g_residual
         if config.no_destd:
@@ -275,23 +277,18 @@ def loss_and_grad(params: dict, x, y, config: ModelConfig):
     Returns ``(loss, components, grads)``: the combined loss, its logged terms
     (see ``loss.loss_components``) and its gradient for every parameter.
     """
-    y_hat, diag, trace = _forward(params, x, config)
+    y_hat, forward = model_forward(params, x, config)
     loss_config = config.loss_config()
     parts = loss_components(y, y_hat, loss_config)
-    grads = _backward(params, diag, trace, loss_gradients(y, y_hat, loss_config), config)
+    grads = _backward(params, forward, loss_gradients(y, y_hat, loss_config), config)
     return parts["loss"], parts, grads
 
 
-def model_forward(params: dict, x, config: ModelConfig):
-    """Inference forward pass on a batch of lookback rows; returns (y_hat, Diagnostics)."""
-    y_hat, diag, _ = _forward(params, x, config)
-    return y_hat, diag
-
-
-def decompose(diagnostics: Diagnostics) -> np.ndarray:
-    """Per-block forecast contributions in the original scale, shape (M, n, horizon).
+def decompose(forward: Forward) -> np.ndarray:
+    """Per-block forecast contributions in the original scale, shape (M, n, horizon),
+    from the record ``model_forward`` returns.
 
     Contributions sum to the final forecast up to float addition order.
     """
-    return np.stack([f * diagnostics.scale[:, None] for f in diagnostics.forecasts])
+    return np.stack([block.forecast * forward.scale[:, None] for block in forward.blocks])
 

@@ -121,14 +121,14 @@ def test_c3_architecture_invariants():
     params = init_params(config, 21)
     x = positive_batch(rng, (6, 6))
 
-    y_hat, diag = model_forward(params, x, config)
-    contributions = decompose(diag)
+    y_hat, forward = model_forward(params, x, config)
+    contributions = decompose(forward)
     decomposition_rel = float(
         np.max(np.abs(contributions.sum(axis=0) - y_hat)) / np.max(np.abs(y_hat))
     )
 
-    residual_ok = all(np.all(block_input >= 0.0) for block_input in diag.inputs[1:])
-    ceiling_ok = bool(np.all(diag.inputs[0].max(axis=1) == 1.0))
+    residual_ok = all(np.all(block.hidden[0] >= 0.0) for block in forward.blocks[1:])
+    ceiling_ok = bool(np.all(forward.blocks[0].hidden[0].max(axis=1) == 1.0))
 
     zero_params = zero_head_params(tiny_config())
     constant_ok = all(

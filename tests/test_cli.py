@@ -67,6 +67,19 @@ def test_synth_writes_loadable_dataset(tmp_path):
     assert len(load_dataset(out_json)) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--series", "-2"], "--series must be >= 1, got -2"),
+    (["--series", "0"], "--series must be >= 1, got 0"),
+    (["--months", "-1"], "--months must be >= 1, got -1"),
+    (["--months", "0"], "--months must be >= 1, got 0"),
+], ids=["series-negative", "series-zero", "months-negative", "months-zero"])
+def test_synth_sizes_below_one_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "synth.csv"
+    assert run_cli("synth", "--out", out, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -114,11 +127,34 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_unknown_config_field_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("doc, flags, message", [
+    ({"model": {"width": 8}}, [], "unknown field(s) ['width']"),
+    ({"model": 5}, [], "config section 'model' must be a JSON object, got number"),
+    ({"train": None}, [], "config section 'train' must be a JSON object, got null"),
+    ({"model": "abc"}, [], "config section 'model' must be a JSON object, got string"),
+    ({}, ["--set", "model=5"], "config section 'model' must be a JSON object, got number"),
+    ({}, ["--set", "split=[1]"], "config section 'split' must be a JSON object, got array"),
+], ids=["unknown-field", "number", "null", "string", "set-number", "set-array"])
+def test_unknown_config_field_exits_2(tmp_path, capsys, doc, flags, message):
     config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps({"model": {"width": 8}}))
-    assert run_cli("train", "--config", config_path) == 2
-    assert "width" in capsys.readouterr().err
+    config_path.write_text(json.dumps(doc))
+    assert run_cli("train", "--config", config_path, *flags) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_manifest_ensemble_section_not_an_object_exits_2(tmp_path, workspace, capsys):
+    import shutil
+
+    pool_dir = tmp_path / "pool"
+    shutil.copytree(workspace["root"] / "pool", pool_dir)
+    manifest = pool_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["run"]["ensemble"] = [64]
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "f.csv"
+    assert run_cli("forecast", "--manifest", manifest, "--series", "S00", "--out", out) == 2
+    assert "config section 'ensemble' must be a JSON object, got array" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_set_overrides_reach_the_config(tmp_path, capsys):

@@ -74,8 +74,9 @@ def test_normalized_ceiling_is_exactly_one():
 
 def one_block(params, x, cfg):
     """(block input, backcast, forecast) of a one-block model, in the normalized scale."""
-    _, diag = model_forward(params, np.atleast_2d(x), cfg)
-    return diag.inputs[0][0], diag.backcasts[0][0], diag.forecasts[0][0]
+    _, forward = model_forward(params, np.atleast_2d(x), cfg)
+    block = forward.blocks[0]
+    return block.hidden[0][0], block.backcast[0], block.forecast[0]
 
 
 def test_zero_heads_emit_input_mean():
@@ -148,8 +149,8 @@ def test_decomposition_identity():
     cfg = tiny_config(blocks=4, sharing=True)
     params = init_params(cfg, 2)
     x = positive_batch(rng, (5, 6))
-    y_hat, diag = model_forward(params, x, cfg)
-    contributions = decompose(diag)
+    y_hat, forward = model_forward(params, x, cfg)
+    contributions = decompose(forward)
     assert contributions.shape == (4, 5, 3)
     total = contributions.sum(axis=0)
     assert np.max(np.abs(total - y_hat)) <= 1e-9 * np.max(np.abs(y_hat))
@@ -159,25 +160,41 @@ def test_single_block_decomposition_equals_forecast():
     cfg = tiny_config(blocks=1)
     params = init_params(cfg, 4)
     x = np.array([[4.0, 8.0, 6.0, 5.0, 7.0, 9.0]])
-    y_hat, diag = model_forward(params, x, cfg)
-    assert np.array_equal(decompose(diag)[0], y_hat)
+    y_hat, forward = model_forward(params, x, cfg)
+    assert np.array_equal(decompose(forward)[0], y_hat)
 
 
 def test_residual_nonnegativity_with_gate():
     rng = np.random.default_rng(2)
     cfg = tiny_config(blocks=4)
     params = init_params(cfg, 6)
-    _, diag = model_forward(params, positive_batch(rng, (8, 6)), cfg)
-    for block_input in diag.inputs[1:]:
-        assert np.all(block_input >= 0.0)
+    _, forward = model_forward(params, positive_batch(rng, (8, 6)), cfg)
+    for block in forward.blocks[1:]:
+        assert np.all(block.hidden[0] >= 0.0)
 
 
 def test_no_relu_allows_negative_residuals():
     rng = np.random.default_rng(3)
     cfg = tiny_config(blocks=4, ablation=frozenset({"noReLU"}))
     params = init_params(cfg, 6)
-    _, diag = model_forward(params, positive_batch(rng, (8, 6)), cfg)
-    assert any(np.any(block_input < 0.0) for block_input in diag.inputs[1:])
+    _, forward = model_forward(params, positive_batch(rng, (8, 6)), cfg)
+    assert any(np.any(block.hidden[0] < 0.0) for block in forward.blocks[1:])
+
+
+@pytest.mark.parametrize("ablation", [(), ("noReLU",), ("noDestd",), ("noDestd", "noReLU")])
+def test_forward_record_chains_the_residuals(ablation):
+    rng = np.random.default_rng(6)
+    cfg = tiny_config(blocks=4, ablation=frozenset(ablation))
+    params = init_params(cfg, 6)
+    _, forward = model_forward(params, positive_batch(rng, (8, 6)), cfg)
+    assert len(forward.blocks) == cfg.blocks
+    for block, following in zip(forward.blocks, forward.blocks[1:]):
+        residual = block.hidden[0] - block.backcast
+        expected = residual if cfg.no_relu else np.maximum(residual, 0.0)
+        assert np.array_equal(following.hidden[0], expected)
+    for block in forward.blocks:
+        assert (block.centered is None) == cfg.no_destd
+        assert (block.sd is None) == cfg.no_destd
 
 
 def test_forward_scale_equivariance():
@@ -201,7 +218,7 @@ def test_sharing_uses_one_parameter_set():
     params["shared.fc0.W"] = params["shared.fc0.W"] + 0.05
     _, after = model_forward(params, x, cfg)
     for m in range(cfg.blocks):
-        assert not np.allclose(before.forecasts[m], after.forecasts[m])
+        assert not np.allclose(before.blocks[m].forecast, after.blocks[m].forecast)
 
 
 def test_unshared_blocks_are_independent_parameters():
@@ -214,9 +231,9 @@ def test_unshared_blocks_are_independent_parameters():
     params["block2.forecast.b"] = params["block2.forecast.b"] + 0.5
     _, after = model_forward(params, x, cfg)
     # blocks upstream of the perturbed one are untouched
-    assert np.array_equal(before.forecasts[0], after.forecasts[0])
-    assert np.array_equal(before.forecasts[1], after.forecasts[1])
-    assert not np.allclose(before.forecasts[2], after.forecasts[2])
+    assert np.array_equal(before.blocks[0].forecast, after.blocks[0].forecast)
+    assert np.array_equal(before.blocks[1].forecast, after.blocks[1].forecast)
+    assert not np.allclose(before.blocks[2].forecast, after.blocks[2].forecast)
 
 
 def test_gradient_flows_to_first_block():
