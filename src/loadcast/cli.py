@@ -85,15 +85,35 @@ def _apply_override(doc: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _json_kind(value) -> str:
+    return {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}.get(
+        type(value), "number")
+
+
+# What a field of each annotated type takes, and how a message names it
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "a boolean"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "frozenset": (lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings"),
+}
+
+
 def _build_section(cls, doc: dict, section: str):
     if not isinstance(doc, dict):
-        kind = {list: "array", str: "string", bool: "boolean", type(None): "null"}.get(
-            type(doc), "number")
-        raise ConfigError(f"config section '{section}' must be a JSON object, got {kind}")
-    valid = {f.name for f in dataclass_fields(cls)}
-    unknown = set(doc) - valid
+        raise ConfigError(f"config section '{section}' must be a JSON object, got {_json_kind(doc)}")
+    types = {f.name: f.type for f in dataclass_fields(cls)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ConfigError(f"config section '{section}': unknown field(s) {sorted(unknown)}")
+    for name, value in doc.items():
+        accepts, expected = _FIELD_TYPES[types[name]]
+        if not accepts(value):
+            raise ConfigError(
+                f"config section '{section}': field '{name}' must be {expected}, "
+                f"got {_json_kind(value)} {json.dumps(value)}"
+            )
     try:
         if cls is ModelConfig:
             return ModelConfig.from_dict(doc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,8 +65,9 @@ class TimeSeries:
         return index_to_month(month_index(*self.start) + index)
 
 
-def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
-    per_id: dict[str, list[tuple[int, float, str]]] = {}
+def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, int]]]:
+    """Each kept series' (month index, value, row number) triples."""
+    per_id: dict[str, list[tuple[int, float, int]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -87,15 +89,16 @@ def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
                 raise DatasetError(f"{path}: row {rowno}: {exc}") from None
             if not 1 <= month <= 12:
                 raise DatasetError(f"{path}: row {rowno}: month {month} out of range 1..12")
-            if not np.isfinite(value) or value <= 0.0:
+            if not math.isfinite(value) or value <= 0.0:
                 raise DatasetError(
                     f"{path}: row {rowno}: value {value} violates the strictly-positive rule"
                 )
-            per_id.setdefault(sid, []).append((month_index(year, month), value, f"row {rowno}"))
+            per_id.setdefault(sid, []).append((month_index(year, month), value, rowno))
     return per_id
 
 
-def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]:
+def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, int]]]:
+    """Each kept series' (month index, value, position in its values) triples."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -103,7 +106,7 @@ def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]
             raise DatasetError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("series"), list):
         raise DatasetError(f"{path}: expected an object with a 'series' list")
-    per_id: dict[str, list[tuple[int, float, str]]] = {}
+    per_id: dict[str, list[tuple[int, float, int]]] = {}
     for k, entry in enumerate(doc["series"]):
         if keep is not None and isinstance(entry, dict) and str(entry.get("id")) not in keep:
             continue
@@ -135,14 +138,21 @@ def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, str]]]
                     f"{path}: {where}: value at position {j} is not a number: {json.dumps(value)}"
                 )
             value = float(value)
-            if not np.isfinite(value) or value <= 0.0:
+            if not math.isfinite(value) or value <= 0.0:
                 raise DatasetError(
                     f"{path}: {where}: value at position {j} is {value}; "
                     "demand values must be strictly positive"
                 )
-            rows.append((base + j, value, f"position {j}"))
+            rows.append((base + j, value, j))
         per_id[sid] = rows
     return per_id
+
+
+def _month_location(rows, month: int, k: int, unit: str) -> str:
+    """Where the k-th of ``month``'s (month index, value, location) ``rows`` was
+    read, as "<unit> <location>"; a month's rows are ordered by value, then by
+    that text."""
+    return sorted((v, f"{unit} {loc}") for i, v, loc in rows if i == month)[k][1]
 
 
 def load_dataset(
@@ -166,7 +176,8 @@ def load_dataset(
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    read_rows = _read_json_rows if path.suffix.lower() == ".json" else _read_csv_rows
+    is_json = path.suffix.lower() == ".json"
+    read_rows = _read_json_rows if is_json else _read_csv_rows
     try:
         per_id = read_rows(path, None if series_ids is None else set(series_ids))
     except UnicodeDecodeError as exc:
@@ -181,14 +192,17 @@ def load_dataset(
 
     out: list[TimeSeries] = []
     short: list[str] = []
+    unit = "position" if is_json else "row"
     for sid in sorted(per_id):
         rows = sorted(per_id[sid])
-        for (ia, _, wa), (ib, _, wb) in zip(rows, rows[1:]):
+        for (ia, _, _), (ib, _, _) in zip(rows, rows[1:]):
             if ib == ia:
-                raise DatasetError(f"{path}: series '{sid}': duplicate month at {wb}")
+                where = _month_location(rows, ib, 1, unit)
+                raise DatasetError(f"{path}: series '{sid}': duplicate month at {where}")
             if ib != ia + 1:
                 raise DatasetError(
-                    f"{path}: series '{sid}': gap in month sequence between {wa} and {wb}"
+                    f"{path}: series '{sid}': gap in month sequence between "
+                    f"{_month_location(rows, ia, -1, unit)} and {_month_location(rows, ib, 0, unit)}"
                 )
         series = TimeSeries(sid, index_to_month(rows[0][0]), np.array([r[1] for r in rows]))
         if len(series) < min_length:

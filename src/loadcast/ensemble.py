@@ -98,12 +98,34 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     return out
 
 
+# Bytes one chunk of ``member_forecast_matrix`` may hold. A chunk of k members
+# on n lookback rows counts as k * (1 + n) member rows: the k rows of
+# parameters, and per lookback row a generous bound on what its forward keeps.
+CHUNK_BYTES = 4 << 20
+
+
 def member_forecast_matrix(pool, x, members) -> np.ndarray:
     """Forecasts of the pool members numbered ``members`` on the lookback rows
-    ``x``, shape (len(members), rows, H), one forward pass per member."""
+    ``x``, shape (len(members), rows, H).
+
+    The members run in chunks of as many as ``CHUNK_BYTES`` allows, and at
+    least one. A chunk reads its members' rows of the pool's members array at
+    once, checks their config hash and seed as ``TrainedMember.load_params``
+    does, and runs one forward pass with a leading member axis.
+    """
+    members = [pool.members[i] for i in members]
     out = np.empty((len(members), len(x), pool.config.horizon))
-    for k, i in enumerate(members):
-        out[k] = model_forward(pool.members[i].load_params(), x, pool.config)[0]
+    if not members:
+        return out
+    rows = members[0].rows
+    size = max(1, CHUNK_BYTES // (rows.dtype.itemsize * (1 + len(x))))
+    for start in range(0, len(members), size):
+        chunk = members[start : start + size]
+        batch = rows[[m.index for m in chunk]]
+        for member, found_hash, found_seed in zip(chunk, batch["config_hash"], batch["seed"]):
+            member.check_identity(found_hash.decode(), int(found_seed))
+        params = {name: batch[name] for name in rows.dtype.names[2:]}
+        out[start : start + len(chunk)] = model_forward(params, x, pool.config)[0]
     return out
 
 

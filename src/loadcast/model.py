@@ -169,13 +169,14 @@ class Forward(NamedTuple):
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched dense map ``x @ W.T + b`` with W shaped (out, in)."""
-    if x.shape[-1] != w.shape[1]:
+    """Batched dense map ``x @ W.T + b`` with W shaped (out, in) and b (out,),
+    or one map per member with W shaped (K, out, in) and b (K, out)."""
+    if x.shape[-1] != w.shape[-1]:
         raise ValueError(
-            f"input width {x.shape[-1]} does not match layer in-dimension {w.shape[1]}"
+            f"input width {x.shape[-1]} does not match layer in-dimension {w.shape[-1]}"
         )
-    out = x @ w.T
-    out += b
+    out = x @ np.swapaxes(w, -1, -2)
+    out += b[..., None, :]
     return out
 
 
@@ -183,7 +184,11 @@ def model_forward(params: dict, x, config: ModelConfig):
     """Run the model on a batch of lookback rows.
 
     Returns ``(y_hat of shape (n, horizon), Forward)``. The record holds what
-    the backward pass and ``decompose`` read of every block.
+    the backward pass and ``decompose`` read of every block. Parameters with a
+    leading member axis, each shaped (K, *shape), run K members on the same
+    rows at once: ``y_hat`` is then (K, n, horizon), and the record's arrays
+    lead with the member axis too, apart from those of the input alone:
+    ``scale`` and the first block's input, ``centered`` and ``sd``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.lookback:

@@ -72,13 +72,18 @@ class TrainedMember:
 
     def load_params(self) -> dict:
         params, meta = load_checkpoint(self.rows, self.index)
-        if meta["config_hash"] != self.config_hash or meta["seed"] != self.seed:
+        self.check_identity(meta["config_hash"], meta["seed"])
+        return params
+
+    def check_identity(self, found_hash: str, found_seed: int) -> None:
+        """A ValueError naming the members file unless ``found_hash`` and
+        ``found_seed``, read from this member's row, are the manifest's."""
+        if found_hash != self.config_hash or found_seed != self.seed:
             raise ValueError(
                 f"{getattr(self.rows, 'filename', 'pool')}: member {self.index} holds config "
-                f"{meta['config_hash']} seed {meta['seed']}, "
+                f"{found_hash} seed {found_seed}, "
                 f"expected config {self.config_hash} seed {self.seed}"
             )
-        return params
 
 
 def member_dtype(config: ModelConfig) -> np.dtype:

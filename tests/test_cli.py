@@ -134,7 +134,27 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     ({"model": "abc"}, [], "config section 'model' must be a JSON object, got string"),
     ({}, ["--set", "model=5"], "config section 'model' must be a JSON object, got number"),
     ({}, ["--set", "split=[1]"], "config section 'split' must be a JSON object, got array"),
-], ids=["unknown-field", "number", "null", "string", "set-number", "set-array"])
+    ({}, ["--set", 'model.sharing="no"'],
+     "config section 'model': field 'sharing' must be a boolean, got string \"no\""),
+    ({}, ["--set", 'model.lookback="6"'],
+     "config section 'model': field 'lookback' must be an integer, got string \"6\""),
+    ({}, ["--set", "model.lookback=6.5"],
+     "config section 'model': field 'lookback' must be an integer, got number 6.5"),
+    ({}, ["--set", "model.fc_width=true"],
+     "config section 'model': field 'fc_width' must be an integer, got boolean true"),
+    ({}, ["--set", 'train.epochs="2"'],
+     "config section 'train': field 'epochs' must be an integer, got string \"2\""),
+    ({}, ["--set", "ensemble.trials=2.5"],
+     "config section 'ensemble': field 'trials' must be an integer, got number 2.5"),
+    ({}, ["--set", "model.tau=false"],
+     "config section 'model': field 'tau' must be a number, got boolean false"),
+    ({}, ["--set", 'model.ablation="noReLU"'],
+     "config section 'model': field 'ablation' must be a list of strings, got string \"noReLU\""),
+    ({"model": {"ablation": ["noReLU", 1]}}, [],
+     "config section 'model': field 'ablation' must be a list of strings, got array"),
+], ids=["unknown-field", "number", "null", "string", "set-number", "set-array", "bool-string",
+        "int-string", "int-fraction", "int-boolean", "train-int-string", "ensemble-int-fraction",
+        "float-boolean", "ablation-string", "ablation-non-string"])
 def test_unknown_config_field_exits_2(tmp_path, capsys, doc, flags, message):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps(doc))
@@ -526,20 +546,22 @@ def test_interrupted_pool_manifest_is_refused(tmp_path, workspace, capsys):
 
 
 def test_forecast_runs_each_drawn_member_once(tmp_path, workspace, monkeypatch):
+    # 64 draws from a pool of 2: one forward pass with a member axis of 2
     import loadcast.ensemble as ensemble_mod
-    import loadcast.train as train_mod
+    from loadcast.train import load_pool
 
-    loads, forwards = [], []
-    load_params = train_mod.TrainedMember.load_params
+    forwards = []
     forward = ensemble_mod.model_forward
-    monkeypatch.setattr(train_mod.TrainedMember, "load_params",
-                        lambda member: loads.append(member.index) or load_params(member))
     monkeypatch.setattr(ensemble_mod, "model_forward",
-                        lambda *args: forwards.append(1) or forward(*args))
+                        lambda params, *args: forwards.append(params) or forward(params, *args))
     monkeypatch.setattr("loadcast.cli.model_forward", None)  # only --decomposition uses it
     assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "all",
                    "--ensemble-size", 64, "--out", tmp_path / "fc.csv") == 0
-    assert sorted(loads) == [0, 1] and len(forwards) == 2
+    assert len(forwards) == 1
+    each = [m.load_params() for m in load_pool(workspace["manifest"]).members]
+    assert forwards[0].keys() == each[0].keys()
+    for name, stacked in forwards[0].items():
+        assert np.array_equal(stacked, np.stack([params[name] for params in each]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from loadcast.data import SplitSpec
 from loadcast.ensemble import (
+    CHUNK_BYTES,
     EnsembleSpec,
     aggregate_forecasts,
     draw_member_indices,
@@ -18,8 +20,8 @@ from loadcast.train import Pool, TrainSchedule, TrainedMember, member_dtype, sav
 from helpers import median_reference, tiny_config
 
 
-def make_pool(n_members, seed0=0, identical=False):
-    cfg = tiny_config(sharing=True)
+def make_pool(n_members, seed0=0, identical=False, **config):
+    cfg = tiny_config(**{"sharing": True, **config})
     rows = np.zeros(n_members, dtype=member_dtype(cfg))
     members = []
     for i in range(n_members):
@@ -270,14 +272,51 @@ def test_run_trials_is_independent_of_row_order():
     assert np.array_equal(backward.mean_forecast, forward.mean_forecast[::-1])
 
 
-def test_member_forecast_matrix_forecasts_the_given_members():
-    pool = make_pool(3)
-    x, _, _ = make_windows_fixture()
-    each = [model_forward(m.load_params(), x, pool.config)[0] for m in pool.members]
-    matrix = member_forecast_matrix(pool, x, [2, 0])
-    assert matrix.shape == (2, 3, 3)
-    assert np.array_equal(matrix, np.stack([each[2], each[0]]))
-    assert np.array_equal(member_forecast_matrix(pool, x, range(3)), np.stack(each))
+def test_member_forecast_matrix_forecasts_the_given_members(monkeypatch):
+    # the stacked forward passes give the bits of one forward pass per member
+    import loadcast.ensemble as ensemble_mod
+
+    forward = ensemble_mod.model_forward
+    calls = []
+    monkeypatch.setattr(ensemble_mod, "model_forward",
+                        lambda *args: calls.append(1) or forward(*args))
+    rng = np.random.default_rng(5)
+    members = [3, 0, 3, 4, 1, 0]  # repeated and out of order
+    for width, sharing, ablation, rows in itertools.product(
+        (8, 64), (True, False), ((), ("noDestd",), ("noReLU",)), (1, 3, 128)
+    ):
+        case = f"width {width}, sharing {sharing}, {ablation}, {rows} rows"
+        pool = make_pool(5, fc_width=width, sharing=sharing, ablation=ablation)
+        x = rng.uniform(500.0, 1500.0, size=(rows, pool.config.lookback))
+        each = [model_forward(m.load_params(), x, pool.config)[0] for m in pool.members]
+        expected = np.stack([each[i] for i in members]).tobytes()
+        four_members = 4 * pool.members[0].rows.dtype.itemsize * (1 + rows)
+        for bound in (CHUNK_BYTES, four_members):
+            monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", bound)
+            calls.clear()
+            matrix = member_forecast_matrix(pool, x, members)
+            assert matrix.shape == (6, rows, pool.config.horizon), case
+            assert matrix.tobytes() == expected, f"{case}, bound {bound}"
+        assert len(calls) == 2, case  # chunks of four and two members
+    assert member_forecast_matrix(make_pool(2), x[:, :6], []).shape == (0, 128, 3)
+
+
+def test_member_forecast_matrix_peaks_within_a_multiple_of_one_forward():
+    # stacking all 64 members over 128 rows would hold 64 members' activations
+    pool = make_pool(64, fc_width=64)
+    x = np.random.default_rng(6).uniform(500.0, 1500.0, size=(128, pool.config.lookback))
+    params = pool.members[0].load_params()
+    member_forecast_matrix(pool, x, [0])  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        model_forward(params, x, pool.config)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        matrix = member_forecast_matrix(pool, x, range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * one + matrix.nbytes
 
 
 def test_run_trials_validates_inputs():
