@@ -62,14 +62,21 @@ def test_unsorted_rows_are_sorted(tmp_path):
 def test_month_gap_detected(tmp_path):
     path = tmp_path / "gap.csv"
     write_rows(path, [("AT", 2001, 1, 1.0), ("AT", 2001, 3, 3.0)])
-    with pytest.raises(DatasetError, match="gap"):
+    with pytest.raises(DatasetError, match="gap in month sequence between row 2 and row 3$"):
+        load_dataset(path, min_length=2)
+    # rows of one month and value are ordered by their location text, "row 10" before "row 9"
+    write_rows(path, [("AT", 2001, m, 1.0) for m in range(1, 8)] + [("AT", 2001, 9, 1.0)] * 2)
+    with pytest.raises(DatasetError, match="gap in month sequence between row 8 and row 10$"):
         load_dataset(path, min_length=2)
 
 
 def test_duplicate_month_detected(tmp_path):
     path = tmp_path / "dup.csv"
     write_rows(path, [("AT", 2001, 1, 1.0), ("AT", 2001, 1, 2.0)])
-    with pytest.raises(DatasetError, match="duplicate"):
+    with pytest.raises(DatasetError, match="duplicate month at row 3$"):
+        load_dataset(path, min_length=2)
+    write_rows(path, [("AT", 2001, m, 1.0) for m in range(1, 9)] + [("AT", 2001, 8, 1.0)])
+    with pytest.raises(DatasetError, match="duplicate month at row 9$"):
         load_dataset(path, min_length=2)
 
 
