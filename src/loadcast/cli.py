@@ -25,13 +25,14 @@ import numpy as np
 from . import data
 from .baselines import PERIOD, seasonal_naive
 from .ensemble import (
-    EnsembleSpec, aggregate_forecasts, draw_member_indices, member_forecast_matrix, run_trials,
+    EnsembleSpec, aggregate_forecasts, draw_member_indices, member_forecast_matrix,
+    member_forwards, run_trials,
 )
 from .evaluation import (
     SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, per_series_table,
     point_errors,
 )
-from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose, model_forward
+from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose
 from .train import TrainSchedule, build_pool, load_pool
 
 SPLIT_REGIONS = ("test", "val")
@@ -115,8 +116,6 @@ def _build_section(cls, doc: dict, section: str):
                 f"got {_json_kind(value)} {json.dumps(value)}"
             )
     try:
-        if cls is ModelConfig:
-            return ModelConfig.from_dict(doc)
         return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section '{section}': {exc}") from None
@@ -338,7 +337,13 @@ def cmd_forecast(args) -> int:
     members, drawn = np.unique(
         draw_member_indices(len(pool.members), spec, args.trial_index), return_inverse=True
     )
-    matrix = member_forecast_matrix(pool, x, members)
+    matrix = np.empty((len(members), len(x), config.horizon))
+    # per member, its block contributions, shape (members, blocks, rows, H)
+    contribs = np.empty((len(members), config.blocks, *matrix.shape[1:]))
+    for start, y_hat, forward in member_forwards(pool, x, members):
+        matrix[start : start + len(y_hat)] = y_hat
+        if args.decomposition:
+            contribs[start : start + len(y_hat)] = np.swapaxes(decompose(forward), 0, 1)
     aggregated = aggregate_forecasts(matrix, drawn[None], spec.aggregation)[0]
 
     fh, writer = _open_csv(args.out, pool.config_hash, pool.schedule.seed)
@@ -354,10 +359,7 @@ def cmd_forecast(args) -> int:
         # Mean-aggregated block contributions stay additive, so the per-block
         # rows sum exactly to the "forecast" field below (which equals the
         # forecast CSV when aggregation=mean or the ensemble has one member).
-        contribs = [
-            decompose(model_forward(pool.members[i].load_params(), x, config)[1]) for i in members
-        ]
-        mean_contrib = np.mean([contribs[i] for i in drawn], axis=0)  # (M, n_series, H)
+        mean_contrib = contribs[drawn].mean(axis=0)  # (M, n_series, H)
         series_docs = {}
         for k, (s, idx) in enumerate(zip(targets, anchors)):
             months = [list(s.month_at(idx + j)) for j in range(1, config.horizon + 1)]
@@ -630,9 +632,10 @@ def cmd_sweep(args) -> int:
             (section, attr), _ = targets[name]
             (model_updates if section == "model" else schedule_updates)[attr] = value
         try:
-            model_cfg = replace(cfg.model, **model_updates)
-            schedule = replace(cfg.schedule, **schedule_updates)
-        except (TypeError, ValueError) as exc:
+            model_cfg = _build_section(ModelConfig, {**cfg.model.to_dict(), **model_updates}, "model")
+            schedule = _build_section(TrainSchedule, {**asdict(cfg.schedule), **schedule_updates},
+                                      "train")
+        except ConfigError as exc:
             raise ConfigError(f"grid combination {dict(zip(field_names, combo))}: {exc}") from None
         _, report = _train_and_score(series, cfg, model_cfg, schedule, "val", args.workers)
         row = {name: value for name, value in zip(field_names, combo)}

@@ -98,34 +98,35 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     return out
 
 
-# Bytes one chunk of ``member_forecast_matrix`` may hold. A chunk of k members
-# on n lookback rows counts as k * (1 + n) member rows: the k rows of
-# parameters, and per lookback row a generous bound on what its forward keeps.
+# Bytes one chunk of ``member_forwards`` may hold. A chunk of k members on n
+# lookback rows counts as k * (1 + n) member rows: the k rows of parameters,
+# and per lookback row a generous bound on what its forward keeps.
 CHUNK_BYTES = 4 << 20
+
+
+def member_forwards(pool, x, members):
+    """Run the pool members numbered ``members`` on the lookback rows ``x``.
+
+    The members run in chunks of as many as ``CHUNK_BYTES`` allows, and at
+    least one. Each chunk reads its members' parameters with
+    ``pool.member_params`` and makes one ``model_forward`` call with a leading
+    member axis. Yields ``(start, y_hat, forward)`` per chunk: the chunk's
+    offset in ``members``, its forecasts, shape (chunk, rows, H), and the
+    record of its pass.
+    """
+    size = max(1, CHUNK_BYTES // (pool.rows.dtype.itemsize * (1 + len(x))))
+    for start in range(0, len(members), size):
+        # the gathered parameters are freed before the next chunk gathers its own
+        yield (start, *model_forward(pool.member_params(members[start : start + size]), x,
+                                     pool.config))
 
 
 def member_forecast_matrix(pool, x, members) -> np.ndarray:
     """Forecasts of the pool members numbered ``members`` on the lookback rows
-    ``x``, shape (len(members), rows, H).
-
-    The members run in chunks of as many as ``CHUNK_BYTES`` allows, and at
-    least one. A chunk reads its members' rows of the pool's members array at
-    once, checks their config hash and seed as ``TrainedMember.load_params``
-    does, and runs one forward pass with a leading member axis.
-    """
-    members = [pool.members[i] for i in members]
+    ``x``, shape (len(members), rows, H), from ``member_forwards``."""
     out = np.empty((len(members), len(x), pool.config.horizon))
-    if not members:
-        return out
-    rows = members[0].rows
-    size = max(1, CHUNK_BYTES // (rows.dtype.itemsize * (1 + len(x))))
-    for start in range(0, len(members), size):
-        chunk = members[start : start + size]
-        batch = rows[[m.index for m in chunk]]
-        for member, found_hash, found_seed in zip(chunk, batch["config_hash"], batch["seed"]):
-            member.check_identity(found_hash.decode(), int(found_seed))
-        params = {name: batch[name] for name in rows.dtype.names[2:]}
-        out[start : start + len(chunk)] = model_forward(params, x, pool.config)[0]
+    for start, y_hat, _ in member_forwards(pool, x, members):
+        out[start : start + len(y_hat)] = y_hat
     return out
 
 

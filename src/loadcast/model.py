@@ -72,10 +72,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "ablation": sorted(self.ablation)}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        return cls(**{**doc, "ablation": frozenset(doc.get("ablation", ()))})
-
 
 def config_hash(config: ModelConfig) -> str:
     """Stable short hash of the full configuration, embedded in all outputs."""

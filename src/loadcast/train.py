@@ -13,6 +13,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,31 +60,12 @@ class TrainResult:
 
 @dataclass
 class TrainedMember:
-    """A pool member: its seed and loss history, and its parameters as row
-    ``index`` of ``rows``, the pool's ``member_dtype`` array (the memory-mapped
-    members file, or an array in memory for a pool built without one)."""
+    """What the manifest records about a pool member: its seed and loss history.
+    Its parameters are its row of the pool's members array (``Pool.member_params``)."""
 
     seed: int
-    config_hash: str
     final_loss: float
     loss_trace: list
-    rows: np.ndarray
-    index: int
-
-    def load_params(self) -> dict:
-        params, meta = load_checkpoint(self.rows, self.index)
-        self.check_identity(meta["config_hash"], meta["seed"])
-        return params
-
-    def check_identity(self, found_hash: str, found_seed: int) -> None:
-        """A ValueError naming the members file unless ``found_hash`` and
-        ``found_seed``, read from this member's row, are the manifest's."""
-        if found_hash != self.config_hash or found_seed != self.seed:
-            raise ValueError(
-                f"{getattr(self.rows, 'filename', 'pool')}: member {self.index} holds config "
-                f"{found_hash} seed {found_seed}, "
-                f"expected config {self.config_hash} seed {self.seed}"
-            )
 
 
 def member_dtype(config: ModelConfig) -> np.dtype:
@@ -117,14 +99,6 @@ def save_checkpoint(rows, index: int, params: dict, config: ModelConfig, seed: i
     row["seed"] = seed
     for name, value in params.items():
         row[name] = value
-
-
-def load_checkpoint(rows, index: int):
-    """Copy member ``index``'s row of ``rows``; returns
-    (params dict, metadata dict with ``config_hash`` and ``seed``)."""
-    row = rows[index]
-    params = {name: np.array(row[name]) for name in rows.dtype.names[2:]}
-    return params, {"config_hash": row["config_hash"].decode(), "seed": int(row["seed"])}
 
 
 def _loss_uses_row_variance(config: ModelConfig) -> bool:
@@ -198,17 +172,39 @@ def train_one(
 
 @dataclass
 class Pool:
-    """A set of independently trained members sharing one config and schedule."""
+    """A set of independently trained members sharing one config and schedule.
+
+    Member ``i``'s parameters are row ``i`` of ``rows``, a ``member_dtype``
+    array: the memory-mapped members file, or an array in memory for a pool
+    built without one.
+    """
 
     config: ModelConfig
     schedule: TrainSchedule
     split: SplitSpec
     members: list[TrainedMember]
+    rows: np.ndarray
     run: dict = field(default_factory=dict)  # the manifest's free-form "run" section
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
         return config_hash(self.config)
+
+    def member_params(self, indices) -> dict:
+        """The parameters of the members numbered ``indices``, each shaped
+        (len(indices), *shape), gathered from ``rows`` at once; a ValueError
+        naming the members file unless each row holds the pool's config hash
+        and that member's seed."""
+        batch = self.rows[np.asarray(indices, dtype=np.intp)]
+        expected_hash = self.config_hash
+        for i, found_hash, found_seed in zip(indices, batch["config_hash"], batch["seed"]):
+            found_hash, found_seed, seed = found_hash.decode(), int(found_seed), self.members[i].seed
+            if found_hash != expected_hash or found_seed != seed:
+                raise ValueError(
+                    f"{getattr(self.rows, 'filename', 'pool')}: member {i} holds config "
+                    f"{found_hash} seed {found_seed}, expected config {expected_hash} seed {seed}"
+                )
+        return {name: batch[name] for name in self.rows.dtype.names[2:]}
 
 
 def member_seeds(master_seed: int, pool_size: int) -> list[int]:
@@ -255,8 +251,8 @@ def write_manifest(pool: Pool, path) -> dict:
 
 def load_pool(manifest_path) -> Pool:
     """Reconstruct a pool from its manifest, which must list each member
-    0..pool_size-1 exactly once; member parameters load lazily, each from its
-    own row of the members file."""
+    0..pool_size-1 exactly once; member parameters stay in the memory-mapped
+    members file until ``Pool.member_params`` reads them."""
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         doc = json.load(fh)
@@ -268,8 +264,8 @@ def load_pool(manifest_path) -> Pool:
             f"version of loadcast (format {FORMAT_VERSION}); the pool must be retrained"
         )
     try:
-        config, expected_hash = ModelConfig.from_dict(doc["config"]), doc["config_hash"]
-        if config_hash(config) != expected_hash:
+        config = ModelConfig(**doc["config"])
+        if config_hash(config) != doc["config_hash"]:
             raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
         schedule = TrainSchedule(**doc["schedule"])
         split_spec = SplitSpec(**doc["split"])
@@ -289,7 +285,7 @@ def load_pool(manifest_path) -> Pool:
             problem = f"repeats member {index}"
         else:
             final_loss = entry.get("final_loss", float("nan"))
-            members[index] = TrainedMember(entry["seed"], expected_hash, final_loss, [], rows, index)
+            members[index] = TrainedMember(entry["seed"], final_loss, [])
             continue
         raise ValueError(f"{manifest_path}: member entry {k} {problem}; the manifest is corrupt")
     missing = [i for i, member in enumerate(members) if member is None]
@@ -298,7 +294,7 @@ def load_pool(manifest_path) -> Pool:
             f"{manifest_path}: no entry for member(s) {missing} of a pool of {size}, as an "
             "interrupted train leaves it; rerun train into the same directory to finish the pool"
         )
-    return Pool(config, schedule, split_spec, members, doc.get("run", {}))
+    return Pool(config, schedule, split_spec, members, rows, doc.get("run", {}))
 
 
 def build_pool(
@@ -357,11 +353,11 @@ def build_pool(
                 and rows[i]["config_hash"] == expected_hash.encode()
                 and rows[i]["seed"] == seed
             ):
-                members[i] = TrainedMember(seed, expected_hash, recorded[(i, seed)], [], rows, i)
+                members[i] = TrainedMember(seed, recorded[(i, seed)], [])
 
     pending = [i for i in range(schedule.pool_size) if members[i] is None]
     jobs = [(series_list, config, schedule, split_spec, seeds[i]) for i in pending]
-    pool = Pool(config, schedule, split_spec, members, extra_manifest or {})
+    pool = Pool(config, schedule, split_spec, members, rows, extra_manifest or {})
 
     def _keep(i, result: TrainResult):
         # a file's row is written through a map of its own, so that the rows
@@ -369,7 +365,7 @@ def build_pool(
         target = rows if out_dir is None else open_memmap(store, mode="r+")
         save_checkpoint(target, i, result.params, config, seeds[i])
         final_loss = result.loss_trace[-1]["loss"]
-        members[i] = TrainedMember(seeds[i], expected_hash, final_loss, result.loss_trace, rows, i)
+        members[i] = TrainedMember(seeds[i], final_loss, result.loss_trace)
         if out_dir is not None:
             write_manifest(pool, out_path / "manifest.json")
 

@@ -19,6 +19,11 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def params_of(pool, i) -> dict:
+    """Member ``i``'s parameters without the member axis, as ``pool.member_params`` reads them."""
+    return {name: value[0] for name, value in pool.member_params([i]).items()}
+
+
 def sinusoid_trend_series(
     sid="SYN", months=48, level=1000.0, amplitude=0.2, trend_per_year=0.02,
     noise=0.0, seed=0, start=(2015, 1),

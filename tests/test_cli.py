@@ -8,7 +8,7 @@ from loadcast.cli import main
 from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
 from loadcast.model import ModelConfig, model_forward
 
-from helpers import dm_reference
+from helpers import dm_reference, params_of
 
 
 def run_cli(*argv):
@@ -49,6 +49,21 @@ def workspace(tmp_path_factory):
         "config": config,
         "manifest": root / "pool" / "manifest.json",
     }
+
+
+@pytest.fixture(scope="module")
+def five_member_pools(workspace):
+    """Directories of 5-member pools on the workspace dataset, by ``sharing``."""
+    pools = {}
+    for sharing in (True, False):
+        pools[sharing] = workspace["root"] / f"pool5-{sharing}"
+        config = dict(workspace["config"], output_dir=str(pools[sharing]))
+        config["model"] = dict(config["model"], sharing=sharing)
+        config["train"] = dict(config["train"], pool_size=5)
+        config_path = workspace["root"] / f"config5-{sharing}.json"
+        config_path.write_text(json.dumps(config))
+        assert run_cli("train", "--config", config_path) == 0
+    return pools
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +229,7 @@ def test_forecast_single_member_pool_matches_member(tmp_path, workspace):
     params = {name: row[name] for name in row.dtype.names[2:]}
     series = load_dataset(workspace["dataset"], min_length=18)
     target = [s for s in series if s.id == "S00"][0]
-    cfg = ModelConfig.from_dict(json.loads((tmp_path / "pool1" / "manifest.json").read_text())["config"])
+    cfg = ModelConfig(**json.loads((tmp_path / "pool1" / "manifest.json").read_text())["config"])
     want = model_forward(params, target.values[None, -cfg.lookback :], cfg)[0][0]
     got = np.array([float(r[3]) for r in rows])
     assert np.array_equal(got, want)
@@ -513,19 +528,31 @@ def test_corrupt_checkpoint_is_a_runtime_failure(tmp_path, workspace, capsys):
     assert "runtime error" in err and "members.npy: unreadable members file" in err
 
 
-def test_checkpoint_from_another_member_is_rejected(tmp_path, workspace, capsys):
+@pytest.mark.parametrize("command", ["evaluate", "forecast-decomposition"])
+def test_checkpoint_from_another_member_is_rejected(tmp_path, workspace, five_member_pools,
+                                                    monkeypatch, capsys, command):
+    # chunks of two members on the 3 series: member 3 is second in the second
+    # chunk, so a check of each chunk's first row or of the first chunk misses it
     import shutil
 
+    import loadcast.ensemble as ensemble_mod
+
     pool_dir = tmp_path / "swapped_pool"
-    shutil.copytree(workspace["root"] / "pool", pool_dir)
+    shutil.copytree(five_member_pools[True], pool_dir)
     rows = np.load(pool_dir / "members.npy", mmap_mode="r+")
-    rows[1] = rows[0]
+    rows[3] = rows[0]
     rows.flush()
+    monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 2 * rows.dtype.itemsize * (1 + 3))
     del rows
-    assert run_cli("evaluate", "--manifest", pool_dir / "manifest.json",
-                   "--dataset", workspace["dataset"], "--out-dir", tmp_path / "eval") == 1
+    argv = ["--manifest", pool_dir / "manifest.json", "--dataset", workspace["dataset"]]
+    if command == "evaluate":
+        argv = ["evaluate", *argv, "--out-dir", tmp_path / "eval"]
+    else:  # 64 draws take every member
+        argv = ["forecast", *argv, "--series", "all", "--ensemble-size", 64,
+                "--out", tmp_path / "fc.csv", "--decomposition", tmp_path / "blocks.json"]
+    assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert "runtime error" in err and "members.npy: member 1 holds" in err
+    assert "runtime error" in err and "members.npy: member 3 holds" in err
 
 
 def test_interrupted_pool_manifest_is_refused(tmp_path, workspace, capsys):
@@ -554,14 +581,52 @@ def test_forecast_runs_each_drawn_member_once(tmp_path, workspace, monkeypatch):
     forward = ensemble_mod.model_forward
     monkeypatch.setattr(ensemble_mod, "model_forward",
                         lambda params, *args: forwards.append(params) or forward(params, *args))
-    monkeypatch.setattr("loadcast.cli.model_forward", None)  # only --decomposition uses it
     assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "all",
                    "--ensemble-size", 64, "--out", tmp_path / "fc.csv") == 0
     assert len(forwards) == 1
-    each = [m.load_params() for m in load_pool(workspace["manifest"]).members]
+    pool = load_pool(workspace["manifest"])
+    each = [params_of(pool, i) for i in range(len(pool.members))]
     assert forwards[0].keys() == each[0].keys()
     for name, stacked in forwards[0].items():
         assert np.array_equal(stacked, np.stack([params[name] for params in each]))
+
+
+@pytest.mark.parametrize("sharing", [True, False], ids=["sharing", "no-sharing"])
+def test_forecast_decomposition_runs_one_pass_per_chunk(tmp_path, workspace, five_member_pools,
+                                                        monkeypatch, sharing):
+    # 64 draws from 5 members in chunks of two: the three forward passes of
+    # the forecast also give the blocks, bit for bit those of each member alone
+    import loadcast.cli as cli
+    import loadcast.ensemble as ensemble_mod
+    from loadcast.ensemble import EnsembleSpec, draw_member_indices
+    from loadcast.model import decompose
+    from loadcast.train import load_pool
+
+    manifest = five_member_pools[sharing] / "manifest.json"
+    pool = load_pool(manifest)
+    chunks = []
+
+    def counted_forward(params, *args):
+        chunks.append(len(next(iter(params.values()))))
+        return model_forward(params, *args)
+
+    monkeypatch.setattr(ensemble_mod, "model_forward", counted_forward)
+    monkeypatch.setattr(cli, "model_forward", counted_forward, raising=False)  # a second pass
+    monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 2 * pool.rows.dtype.itemsize * (1 + 3))
+    decomposition = tmp_path / "blocks.json"
+    assert run_cli("forecast", "--manifest", manifest, "--series", "all", "--ensemble-size", 64,
+                   "--out", tmp_path / "fc.csv", "--decomposition", decomposition) == 0
+    drawn = draw_member_indices(5, EnsembleSpec(ensemble_size=64, seed=0), 0)
+    assert set(drawn) == set(range(5))
+    assert chunks == [2, 2, 1]
+
+    series = sorted(load_dataset(workspace["dataset"], min_length=18), key=lambda s: s.id)
+    x = np.stack([s.values[-pool.config.lookback :] for s in series])
+    each = [decompose(model_forward(params_of(pool, i), x, pool.config)[1]) for i in range(5)]
+    want = np.mean([each[i] for i in drawn], axis=0)
+    doc = json.loads(decomposition.read_text())["series"]
+    for k, s in enumerate(series):
+        assert np.array(doc[s.id]["blocks"]).tobytes() == want[:, k].tobytes(), s.id
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +675,22 @@ def test_sweep_single_combination(tmp_path, workspace):
     assert len(rows) == 1
 
 
-def test_sweep_malformed_grid_names_field(tmp_path, workspace, capsys):
-    grid = tmp_path / "bad.json"
-    grid.write_text(json.dumps({"decoder_width": [1, 2]}))
-    assert run_cli("sweep", "--config", workspace["config_path"], "--grid", grid) == 2
-    assert "decoder_width" in capsys.readouterr().err
-
-    grid.write_text(json.dumps({"tau": 0.3}))
-    assert run_cli("sweep", "--config", workspace["config_path"], "--grid", grid) == 2
-    assert "list" in capsys.readouterr().err
+@pytest.mark.parametrize("grid, message", [
+    ({"decoder_width": [1, 2]}, "decoder_width"),
+    ({"tau": 0.3}, "list"),
+    ({"sharing": ["no"]}, "grid combination {'sharing': 'no'}: config section 'model': "
+                          "field 'sharing' must be a boolean, got string \"no\""),
+    ({"lookback": ["6"]}, "grid combination {'lookback': '6'}: config section 'model': "
+                          "field 'lookback' must be an integer, got string \"6\""),
+    ({"model.ablation": ["noReLU"]}, "grid combination {'model.ablation': 'noReLU'}: config "
+     "section 'model': field 'ablation' must be a list of strings, got string \"noReLU\""),
+], ids=["unknown-field", "not-a-list", "bool-string", "int-string", "ablation-string"])
+def test_sweep_malformed_grid_names_field(tmp_path, workspace, capsys, grid, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(grid))
+    assert run_cli("sweep", "--config", workspace["config_path"], "--grid", path,
+                   "--out-dir", tmp_path / "sweep") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_requires_validation_months(tmp_path, workspace, capsys):

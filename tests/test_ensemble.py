@@ -14,10 +14,10 @@ from loadcast.ensemble import (
     member_forecast_matrix,
     run_trials,
 )
-from loadcast.model import config_hash, init_params, model_forward
+from loadcast.model import init_params, model_forward
 from loadcast.train import Pool, TrainSchedule, TrainedMember, member_dtype, save_checkpoint
 
-from helpers import median_reference, tiny_config
+from helpers import median_reference, params_of, tiny_config
 
 
 def make_pool(n_members, seed0=0, identical=False, **config):
@@ -27,9 +27,9 @@ def make_pool(n_members, seed0=0, identical=False, **config):
     for i in range(n_members):
         params = init_params(cfg, seed0 if identical else seed0 + i)
         save_checkpoint(rows, i, params, cfg, seed0 + i)
-        members.append(TrainedMember(seed0 + i, config_hash(cfg), 0.0, [], rows, i))
+        members.append(TrainedMember(seed0 + i, 0.0, []))
     return Pool(config=cfg, schedule=TrainSchedule(pool_size=n_members), split=SplitSpec(),
-                members=members)
+                members=members, rows=rows)
 
 
 def score_pool(pool, spec, x, y, ids):
@@ -288,9 +288,9 @@ def test_member_forecast_matrix_forecasts_the_given_members(monkeypatch):
         case = f"width {width}, sharing {sharing}, {ablation}, {rows} rows"
         pool = make_pool(5, fc_width=width, sharing=sharing, ablation=ablation)
         x = rng.uniform(500.0, 1500.0, size=(rows, pool.config.lookback))
-        each = [model_forward(m.load_params(), x, pool.config)[0] for m in pool.members]
+        each = [model_forward(params_of(pool, i), x, pool.config)[0] for i in range(5)]
         expected = np.stack([each[i] for i in members]).tobytes()
-        four_members = 4 * pool.members[0].rows.dtype.itemsize * (1 + rows)
+        four_members = 4 * pool.rows.dtype.itemsize * (1 + rows)
         for bound in (CHUNK_BYTES, four_members):
             monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", bound)
             calls.clear()
@@ -305,7 +305,7 @@ def test_member_forecast_matrix_peaks_within_a_multiple_of_one_forward():
     # stacking all 64 members over 128 rows would hold 64 members' activations
     pool = make_pool(64, fc_width=64)
     x = np.random.default_rng(6).uniform(500.0, 1500.0, size=(128, pool.config.lookback))
-    params = pool.members[0].load_params()
+    params = params_of(pool, 0)
     member_forecast_matrix(pool, x, [0])  # first-call imports and caches
     tracemalloc.start()
     try:

@@ -37,7 +37,7 @@ def test_config_validation():
 
 def test_config_roundtrip_and_hash():
     cfg = tiny_config(ablation=frozenset({"noReLU"}))
-    again = ModelConfig.from_dict(cfg.to_dict())
+    again = ModelConfig(**cfg.to_dict())
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
     assert config_hash(tiny_config()) != config_hash(tiny_config(tau=0.4))

@@ -10,9 +10,10 @@ import loadcast.train as train_mod
 from loadcast.data import DatasetError, SplitSpec, TimeSeries
 from loadcast.model import config_hash, init_params, model_forward
 from loadcast.train import (
+    Pool,
     TrainSchedule,
+    TrainedMember,
     build_pool,
-    load_checkpoint,
     load_pool,
     member_dtype,
     member_seeds,
@@ -22,7 +23,7 @@ from loadcast.train import (
     train_one,
 )
 
-from helpers import sinusoid_trend_series, tiny_config
+from helpers import params_of, sinusoid_trend_series, tiny_config
 
 TINY_SCHEDULE = TrainSchedule(epochs=2, batches_per_epoch=5, batch_size=8, pool_size=2, seed=42)
 TINY_SPLIT = SplitSpec(test_months=3, val_months=3)
@@ -109,7 +110,8 @@ def row_bytes(path, index):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    # a row round-trips bit for bit, in the members file and in memory
+    # a row round-trips bit for bit, in the members file and in memory, with
+    # the config hash and seed that member_params checks
     seed = member_seeds(0, 1)[0]  # a full-width uint64
     for sharing in (True, False):
         cfg = tiny_config(sharing=sharing)
@@ -120,9 +122,13 @@ def test_checkpoint_roundtrip(tmp_path):
         in_memory = np.zeros(3, dtype=member_dtype(cfg))
         save_checkpoint(in_memory, 1, params, cfg, seed=seed)
         for rows in (open_members(path, cfg, 3), in_memory):
-            loaded, meta = load_checkpoint(rows, 1)
-            assert meta == {"config_hash": config_hash(cfg), "seed": seed}
-            assert_same_params(loaded, params)
+            pool = Pool(cfg, replace(TINY_SCHEDULE, pool_size=3), TINY_SPLIT,
+                        [TrainedMember(seed, 0.0, [])] * 3, rows)
+            assert (rows[1]["config_hash"].decode(), int(rows[1]["seed"])) == (config_hash(cfg), seed)
+            assert_same_params(params_of(pool, 1), params)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"member 0 holds config  seed 0, expected config {config_hash(cfg)} seed {seed}")):
+                pool.member_params([1, 0])
         assert row_bytes(path, 0) == row_bytes(path, 2) == bytes(member_dtype(cfg).itemsize)
         assert in_memory.tobytes() == open_memmap(path, mode="r").tobytes()
 
@@ -133,12 +139,12 @@ def test_train_one_persists_checkpoint(tmp_path):
     for sharing in (True, False):
         cfg = tiny_config(sharing=sharing)
         out_dir = tmp_path / f"sharing-{sharing}"
-        member = build_pool(tiny_dataset(), cfg, schedule, split_spec=TINY_SPLIT,
-                            out_dir=out_dir).members[0]
-        assert not hasattr(member, "params")
-        assert (str(member.rows.filename), member.index) == (str(out_dir / "members.npy"), 0)
-        direct = train_one(tiny_dataset(), cfg, schedule, member.seed, split_spec=TINY_SPLIT)
-        assert_same_params(member.load_params(), direct.params)
+        pool = build_pool(tiny_dataset(), cfg, schedule, split_spec=TINY_SPLIT, out_dir=out_dir)
+        assert not hasattr(pool.members[0], "params")
+        assert str(pool.rows.filename) == str(out_dir / "members.npy")
+        direct = train_one(tiny_dataset(), cfg, schedule, pool.members[0].seed,
+                           split_spec=TINY_SPLIT)
+        assert_same_params(params_of(pool, 0), direct.params)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +163,8 @@ def test_pool_members_differ(tmp_path):
         tiny_dataset(), tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path
     )
     assert len(pool.members) == 2
-    a = pool.members[0].load_params()
-    b = pool.members[1].load_params()
+    a = params_of(pool, 0)
+    b = params_of(pool, 1)
     assert any(not np.array_equal(a[n], b[n]) for n in a)
 
     x = tiny_dataset()[0].values[None, -9:-3]
@@ -218,8 +224,8 @@ def test_partial_pool_resume_retrains_only_missing_members(tmp_path, monkeypatch
                          out_dir=tmp_path)
     assert written == [1]
     assert (row_bytes(store, 0), row_bytes(store, 1)) == (kept, lost)
-    for want, got in zip(reference.members, rebuilt.members):
-        assert_same_params(want.load_params(), got.load_params())
+    for i in range(len(reference.members)):
+        assert_same_params(params_of(reference, i), params_of(rebuilt, i))
 
 
 def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
@@ -240,8 +246,8 @@ def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
         doc.pop("created_at")
     assert docs[0] == docs[1]
     assert broken.read_bytes() == (tmp_path / "clean" / "members.npy").read_bytes()
-    for want, got in zip(clean.members, resumed.members):
-        assert_same_params(want.load_params(), got.load_params())
+    for i in range(len(clean.members)):
+        assert_same_params(params_of(clean, i), params_of(resumed, i))
 
 
 def test_truncated_manifest_resume_matches_clean_build(tmp_path):
@@ -286,8 +292,8 @@ def test_pool_manifest_loads_back(tmp_path):
     assert loaded.schedule == built.schedule
     assert loaded.split == built.split
     assert [m.seed for m in loaded.members] == [m.seed for m in built.members]
-    for got, want in zip(loaded.members, built.members):
-        a, b = got.load_params(), want.load_params()
+    for i in range(len(built.members)):
+        a, b = params_of(loaded, i), params_of(built, i)
         assert all(np.array_equal(a[n], b[n]) for n in a)
 
 
@@ -297,9 +303,8 @@ def test_pool_built_in_memory_holds_the_members_file_rows(tmp_path):
     stored = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
                         out_dir=tmp_path)
     in_memory = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT)
-    rows = in_memory.members[0].rows
+    rows = in_memory.rows
     assert type(rows) is np.ndarray and rows.dtype == member_dtype(tiny_config())
-    assert [(m.rows is rows, m.index) for m in in_memory.members] == [(True, 0), (True, 1)]
     assert rows.tobytes() == open_memmap(tmp_path / "members.npy", mode="r").tobytes()
     assert pool_manifest(in_memory) == pool_manifest(stored)
     assert [m.loss_trace for m in in_memory.members] == [m.loss_trace for m in stored.members]
@@ -331,8 +336,8 @@ def test_parallel_workers_match_sequential(tmp_path):
                      out_dir=tmp_path / "seq", workers=1)
     par = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
                      out_dir=tmp_path / "par", workers=2)
-    for a, b in zip(seq.members, par.members):
-        pa, pb = a.load_params(), b.load_params()
+    for i in range(len(seq.members)):
+        pa, pb = params_of(seq, i), params_of(par, i)
         assert all(np.array_equal(pa[n], pb[n]) for n in pa)
 
 
@@ -358,7 +363,7 @@ def test_version_1_pool_is_refused_and_retrained(tmp_path, monkeypatch):
     written = record_row_writes(monkeypatch)
     build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
     assert written == [0, 1]
-    assert load_pool(manifest).members[1].load_params()
+    assert params_of(load_pool(manifest), 1)
 
 
 def test_schedule_validation():
