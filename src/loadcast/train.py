@@ -10,7 +10,6 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -370,6 +369,9 @@ def build_pool(
             write_manifest(pool, out_path / "manifest.json")
 
     if workers > 1 and len(jobs) > 1:
+        # imported here: it pulls in multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             for i, result in zip(pending, pool_exec.map(_train_pool_member, jobs)):
                 _keep(i, result)

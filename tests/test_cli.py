@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loadcast
 from loadcast.cli import main
 from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
 from loadcast.model import ModelConfig, model_forward
@@ -64,6 +69,20 @@ def five_member_pools(workspace):
         config_path.write_text(json.dumps(config))
         assert run_cli("train", "--config", config_path) == 0
     return pools
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only ``train --workers`` above 1 needs a process pool; the other commands
+    do not pay for importing ``multiprocessing``."""
+    src = str(Path(loadcast.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, loadcast.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & sys.modules.keys()))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

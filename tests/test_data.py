@@ -1,11 +1,16 @@
 import csv
 import json
+import math
+import os
+import random
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from loadcast import data
 from loadcast.data import (
     DatasetError,
     SplitSpec,
@@ -209,6 +214,202 @@ def test_drop_short_warns_and_keeps_rest(tmp_path):
         series = load_dataset(path, min_length=36, on_short="drop")
     assert [s.id for s in series] == ["LONG"]
     assert any("SHORT" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize(
+    "name, asked, quoted, searched",
+    [("S{:02d}", ["S07"], None, True),
+     ("S{:02d}", [f"S{7 + 11 * k:02d}" for k in range(8)], None, True),
+     ("{}", ["1"], None, True),  # an id that occurs inside most lines' years and values
+     ("S{:02d}", ["S07"], "S100", False),
+     ("S{:02d}", ["S07"], "S07", False)],
+    ids=["plain", "eight-ids", "numeric-ids", "quote-other", "quote-kept"],
+)
+def test_series_ids_split_only_the_requested_lines(
+    tmp_path, monkeypatch, name, asked, quoted, searched
+):
+    path = tmp_path / "d.csv"
+    series = {
+        name.format(i): TimeSeries(name.format(i), s.start, s.values)
+        for i, s in enumerate(synthetic_dataset(128, 60, seed=5))
+    }
+    write_dataset_csv(series.values(), path)
+    if quoted is not None:  # a quote anywhere sends the whole file through the reader
+        with open(path, newline="") as fh:
+            text = fh.read()
+        with open(path, "w", newline="") as fh:
+            fh.write(text.replace(f"\n{quoted},", f'\n"{quoted}",', 1))
+    handed = []
+    real_reader = csv.reader
+
+    def counting_reader(lines, *args, **kwargs):
+        def counted():
+            for line in lines:
+                handed.append(line)
+                yield line
+        return real_reader(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(data.csv, "reader", counting_reader)
+    got = load_dataset(path, series_ids=asked)
+    assert [s.id for s in got] == sorted(asked)
+    for s in got:
+        assert s.start == series[s.id].start and np.array_equal(s.values, series[s.id].values)
+    assert handed[0].strip() == "series_id,year,month,value"
+    records = [line for line in handed if not line.startswith("series_id,")]
+    if searched:
+        assert len(records) == 60 * len(asked)
+        assert all(line.split(",")[0] in asked for line in records)
+    else:  # the full reader, which reads the header again
+        assert len(records) == 128 * 60
+
+
+def _reference_read_csv_rows(path, keep):
+    """Reference record loop that sends every record through ``csv.reader``:
+    the oracle of the fuzz below."""
+    per_id = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(c.strip() for c in header) != data.CSV_HEADER:
+            raise DatasetError(
+                f"{path}: expected header '{','.join(data.CSV_HEADER)}', got {header}"
+            )
+        for rowno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            sid = row[0].strip()
+            if sid.startswith("#") or (keep is not None and sid not in keep):
+                continue
+            if len(row) != 4:
+                raise DatasetError(f"{path}: row {rowno}: expected 4 fields, got {len(row)}")
+            try:
+                year, month, value = int(row[1]), int(row[2]), float(row[3])
+            except ValueError as exc:
+                raise DatasetError(f"{path}: row {rowno}: {exc}") from None
+            if not 1 <= month <= 12:
+                raise DatasetError(f"{path}: row {rowno}: month {month} out of range 1..12")
+            if not math.isfinite(value) or value <= 0.0:
+                raise DatasetError(
+                    f"{path}: row {rowno}: value {value} violates the strictly-positive rule"
+                )
+            per_id.setdefault(sid, []).append((data.month_index(year, month), value, rowno))
+    return per_id
+
+
+FILE_IDS = ["S1", "S12", "S120", "T", " S12", "S1 ", "\xa0S12\t", "#S1", "1", "20"]
+ASKED_IDS = [
+    "S1", "S12", "S120", "T", "S", "1", "2001", " S1", "S12 ", "#S1", "", "NOPE", "S1\nS12",
+    "S1,2001",
+]
+BAD_FIELDS = {
+    1: ["x", "", "2001.5"], 2: ["13", "0", "ab", ""], 3: ["-1", "0", "nan", "inf", "abc", ""],
+}
+
+
+def _fuzz_csv(rng):
+    """One CSV text, mostly well formed, with a few faults drawn from ``rng``,
+    and the ids to ask it for."""
+    rows = []
+    file_ids = rng.sample(FILE_IDS, rng.randint(1, 4))
+    for sid in file_ids:
+        year, month = rng.randint(2000, 2003), rng.randint(1, 12)
+        for j in range(rng.randint(2, 6)):
+            y, m = divmod(month - 1 + j, 12)
+            rows.append([sid, str(year + y), str(m + 1), f"{rng.uniform(0.5, 99.0):.3f}"])
+    if rng.random() < 0.1:
+        del rows[rng.randrange(len(rows))]  # a missing month
+    if rng.random() < 0.1:
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))  # a duplicate month
+    if rng.random() < 0.3:
+        rng.shuffle(rows)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        row = rng.choice(rows)
+        fault = rng.random()
+        if fault < 0.15:
+            row.append("7")
+        elif fault < 0.3:
+            row.pop()
+        else:
+            field = rng.randint(1, len(row) - 1)
+            row[field] = rng.choice(BAD_FIELDS.get(field, ["x"]))
+    if rng.random() < 0.3:  # an asked-for id inside another field
+        rows.insert(rng.randrange(len(rows) + 1),
+                    [rng.choice(["Q", "xS1", "S12x"]), "2001", "1", rng.choice(ASKED_IDS[:7])])
+    lines = [",".join(row) for row in rows]
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        lines.insert(rng.randrange(len(lines) + 1),
+                     rng.choice(["", "  ", "\t", "# note", "# S1,2001,1,5"]))
+    header = rng.choice(["series_id,year,month,value", " series_id , year,month,value"])
+    endings = rng.choice([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]])
+    text = header + "".join(rng.choice(endings) + line for line in lines)
+    if rng.random() < 0.6:
+        text += rng.choice(endings)
+    # a quote, a NUL, and characters that str.splitlines, unlike a file, splits at
+    for char, p in (('"', 0.15), ("\0", 0.08), (rng.choice("\x0b\x0c\x1c\x85\u2028"), 0.1)):
+        if rng.random() < p:
+            at = rng.randrange(len(header), len(text) + 1)
+            text = text[:at] + char + text[at:]
+    asked = rng.sample(file_ids, rng.randint(1, len(file_ids)))
+    if rng.random() < 0.15:
+        asked.append(rng.choice(ASKED_IDS))
+    return text, [sid.strip() if rng.random() < 0.9 else sid for sid in asked]
+
+
+def _load_outcome(path, ids, min_length):
+    try:
+        loaded = load_dataset(path, min_length=min_length, series_ids=ids)
+    except Exception as exc:  # the outcome compared is the exception's type and message
+        return type(exc).__name__, str(exc)
+    return [(s.id, s.start, s.values.tobytes()) for s in loaded]
+
+
+def test_series_ids_load_matches_the_full_reader_on_fuzzed_csv(tmp_path, monkeypatch):
+    rng = random.Random(20241203)
+    path = tmp_path / "fuzz.csv"
+    loaded = failed = 0
+    for case in range(3000):
+        text, ids = _fuzz_csv(rng)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        min_length = rng.choice([1, 1, 3])
+        got = _load_outcome(path, ids, min_length)
+        with monkeypatch.context() as patched:
+            patched.setattr(data, "_read_csv_rows", _reference_read_csv_rows)
+            want = _load_outcome(path, ids, min_length)
+        assert got == want, (case, path.read_bytes(), ids)
+        loaded += isinstance(want, list)
+        failed += isinstance(want, tuple)
+    assert loaded >= 600 and failed >= 600  # both outcomes are exercised
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("quoted", [False, True], ids=["searched", "full-reader"])
+def test_series_ids_load_from_a_pipe(tmp_path, quoted):
+    """A pipe cannot be read twice, so the full reader takes its text from memory."""
+    path = tmp_path / "d.csv"
+    os.mkfifo(path)
+    sid = '"S1"' if quoted else "S1"
+    text = f"series_id,year,month,value\n{sid},2001,1,5\nS2,2001,1,6\nS1,2001,2,7\n"
+
+    def write():
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    got = load_dataset(path, min_length=1, series_ids=["S1"])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [(s.id, s.start, list(s.values)) for s in got] == [("S1", (2001, 1), [5.0, 7.0])]
+
+
+def test_series_id_holding_a_newline_matches_no_record(tmp_path):
+    """Such an id spans two lines of the file, and must hide neither of them."""
+    path = tmp_path / "d.csv"
+    path.write_text("series_id,year,month,value\nS1\nS12,2001,1,5\nS12,2001,2,6\n")
+    assert len(load_dataset(path, min_length=1, series_ids=["S12"])[0]) == 2
+    with pytest.raises(DatasetError, match="unknown series id 'S1\nS12'"):
+        load_dataset(path, min_length=1, series_ids=["S1\nS12", "S12"])
 
 
 # ---------------------------------------------------------------------------
