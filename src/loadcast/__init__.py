@@ -37,7 +37,8 @@ from .model import (
     model_forward,
     normalize_input,
 )
-from .nn import AdamState, adam_step
-from .train import Pool, TrainSchedule, TrainedMember, build_pool, load_pool, train_one
+from .train import (
+    AdamState, Pool, TrainSchedule, TrainedMember, adam_step, build_pool, load_pool, train_one,
+)
 
 __version__ = "0.1.0"

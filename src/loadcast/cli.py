@@ -121,19 +121,17 @@ def _build_section(cls, doc: dict, section: str):
         raise ConfigError(f"config section '{section}': {exc}") from None
 
 
-def load_run_config(path=None, overrides=()) -> RunConfig:
+def load_run_config(path, overrides) -> RunConfig:
     """Read the JSON config document, apply --set overrides, validate fields."""
-    doc: dict = {}
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     for assignment in overrides:
         _apply_override(doc, assignment)
     unknown = set(doc) - _SECTIONS
@@ -188,26 +186,23 @@ def _require_dataset(cfg: RunConfig) -> Path:
     return path
 
 
-def _load_series(dataset_path, model_cfg: ModelConfig, drop_short: bool):
+def _load_series(dataset_path, model_cfg: ModelConfig, drop_short: bool, series_ids):
+    """The series of ``series_ids`` (None: every series), each long enough for
+    one training window plus the two held-out blocks of ``model_cfg``'s horizon."""
     return data.load_dataset(
         dataset_path,
         min_length=model_cfg.lookback + 2 * model_cfg.horizon,
         on_short="drop" if drop_short else "error",
+        series_ids=series_ids,
     )
 
 
 def _ensemble_from_args(base: EnsembleSpec, args) -> EnsembleSpec:
-    updates = {}
-    if getattr(args, "ensemble_size", None) is not None:
-        updates["ensemble_size"] = args.ensemble_size
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "aggregation", None) is not None:
-        updates["aggregation"] = args.aggregation
-    if getattr(args, "ensemble_seed", None) is not None:
-        updates["seed"] = args.ensemble_seed
+    flags = {"ensemble_size": args.ensemble_size, "trials": args.trials,
+             "aggregation": args.aggregation, "seed": args.ensemble_seed}
+    updates = {name: value for name, value in flags.items() if value is not None}
     try:
-        return replace(base, **updates) if updates else base
+        return replace(base, **updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -228,10 +223,7 @@ def _open_pool(args, series_ids):
         raise ConfigError("no dataset given and the manifest records none")
     if not Path(dataset).exists():
         raise ConfigError(f"dataset file not found: {dataset}")
-    config = pool.config
-    series_list = data.load_dataset(
-        dataset, min_length=config.lookback + 2 * config.horizon, series_ids=series_ids
-    )
+    series_list = _load_series(dataset, pool.config, drop_short=False, series_ids=series_ids)
     base_spec = _build_section(EnsembleSpec, pool.run.get("ensemble", {}), "ensemble")
     return pool, dataset, series_list, _ensemble_from_args(base_spec, args)
 
@@ -270,7 +262,7 @@ def cmd_train(args) -> int:
         return 0
     if not cfg.output_dir:
         raise ConfigError("config is missing 'output_dir'")
-    series = _load_series(cfg.dataset, cfg.model, args.drop_short)
+    series = _load_series(cfg.dataset, cfg.model, args.drop_short, series_ids=None)
     run_extra = {"dataset": cfg.dataset, "ensemble": cfg.to_dict()["ensemble"]}
     pool = build_pool(
         series,
@@ -472,7 +464,7 @@ def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.set)
     _require_dataset(cfg)
     out_dir = Path(args.out_dir or cfg.output_dir or "ablation")
-    series = _load_series(cfg.dataset, cfg.model, args.drop_short)
+    series = _load_series(cfg.dataset, cfg.model, args.drop_short, series_ids=None)
 
     variants = ["full", *ABLATION_FLAGS]
     rows = []
@@ -622,7 +614,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"grid field '{field}' must map to a non-empty list of values")
         targets[field] = (_grid_target(field), values)
 
-    series = _load_series(cfg.dataset, cfg.model, args.drop_short)
+    series = _load_series(cfg.dataset, cfg.model, args.drop_short, series_ids=None)
     field_names = sorted(targets)
     combos = itertools.product(*(targets[name][1] for name in field_names))
     rows = []

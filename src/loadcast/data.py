@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -20,9 +21,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-DEFAULT_LOOKBACK = 12
-DEFAULT_HORIZON = 12
 
 CSV_HEADER = ("series_id", "year", "month", "value")
 
@@ -68,9 +66,9 @@ class TimeSeries:
         return index_to_month(month_index(*self.start) + index)
 
 
-def _kept_records(fh, keep) -> Iterator[tuple[int, list[str]]]:
-    """(row number, fields) of the records left in ``fh``, a CSV file read past
-    its header, that may belong to the ``keep`` ids.
+def _kept_records(fh, keep) -> tuple[Iterator[list[str]], Iterator[int]]:
+    """A reader of the records left in ``fh``, a CSV file read past its header,
+    that may belong to the ``keep`` ids, and an iterator of their row numbers.
 
     Text with no quote, no NUL and no lone CR holds one record per line. Then
     one regular-expression pass over the text finds the lines whose stripped
@@ -81,11 +79,11 @@ def _kept_records(fh, keep) -> Iterator[tuple[int, list[str]]]:
     text = fh.read()
     if '"' in text or "\0" in text or "\r" in text and text.count("\r") != text.count("\r\n"):
         if not fh.seekable():  # a pipe: the reader gets a copy, four bytes a character
-            return enumerate(csv.reader(io.StringIO(text, newline="")), start=2)
+            return csv.reader(io.StringIO(text, newline="")), itertools.count(2)
         fh.seek(0)  # stream the file again rather than copy its text
         reader = csv.reader(fh)
         next(reader)  # the header, checked by the caller
-        return enumerate(reader, start=2)
+        return reader, itertools.count(2)
     text = "\n" + text  # every line then starts after a "\n"
     # an id holding a newline matches no record, and would run into the next line
     ids = "|".join(re.escape(sid) for sid in map(str, keep) if "\n" not in sid)
@@ -95,39 +93,46 @@ def _kept_records(fh, keep) -> Iterator[tuple[int, list[str]]]:
         counted = hit.start()
         rownos.append(rowno)
         lines.append(hit[1])
-    return zip(rownos, csv.reader(lines))
+    return csv.reader(lines), iter(rownos)
 
 
 def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, int]]]:
     """Each kept series' (month index, value, row number) triples."""
     per_id: dict[str, list[tuple[int, float, int]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(c.strip() for c in header) != CSV_HEADER:
-            raise DatasetError(
-                f"{path}: expected header '{','.join(CSV_HEADER)}', got {header}"
-            )
-        records = enumerate(reader, start=2) if keep is None else _kept_records(fh, keep)
-        for rowno, row in records:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            sid = row[0].strip()
-            if sid.startswith("#") or (keep is not None and sid not in keep):
-                continue
-            if len(row) != 4:
-                raise DatasetError(f"{path}: row {rowno}: expected 4 fields, got {len(row)}")
-            try:
-                year, month, value = int(row[1]), int(row[2]), float(row[3])
-            except ValueError as exc:
-                raise DatasetError(f"{path}: row {rowno}: {exc}") from None
-            if not 1 <= month <= 12:
-                raise DatasetError(f"{path}: row {rowno}: month {month} out of range 1..12")
-            if not math.isfinite(value) or value <= 0.0:
+        # the reader is zipped ahead of the row numbers, so when it fails on a
+        # record, that record's number is the next one left
+        reader, rownos = csv.reader(fh), itertools.count(1)
+        try:
+            header = next(reader, None)
+            next(rownos)
+            if header is None or tuple(c.strip() for c in header) != CSV_HEADER:
                 raise DatasetError(
-                    f"{path}: row {rowno}: value {value} violates the strictly-positive rule"
+                    f"{path}: expected header '{','.join(CSV_HEADER)}', got {header}"
                 )
-            per_id.setdefault(sid, []).append((month_index(year, month), value, rowno))
+            if keep is not None:
+                reader, rownos = _kept_records(fh, keep)
+            for row, rowno in zip(reader, rownos):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                sid = row[0].strip()
+                if sid.startswith("#") or (keep is not None and sid not in keep):
+                    continue
+                if len(row) != 4:
+                    raise DatasetError(f"{path}: row {rowno}: expected 4 fields, got {len(row)}")
+                try:
+                    year, month, value = int(row[1]), int(row[2]), float(row[3])
+                except ValueError as exc:
+                    raise DatasetError(f"{path}: row {rowno}: {exc}") from None
+                if not 1 <= month <= 12:
+                    raise DatasetError(f"{path}: row {rowno}: month {month} out of range 1..12")
+                if not math.isfinite(value) or value <= 0.0:
+                    raise DatasetError(
+                        f"{path}: row {rowno}: value {value} violates the strictly-positive rule"
+                    )
+                per_id.setdefault(sid, []).append((month_index(year, month), value, rowno))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise DatasetError(f"{path}: row {next(rownos)}: {exc}") from None
     return per_id
 
 
@@ -192,7 +197,7 @@ def _month_location(rows, month: int, k: int, unit: str) -> str:
 def load_dataset(
     path,
     *,
-    min_length: int = DEFAULT_LOOKBACK + 2 * DEFAULT_HORIZON,
+    min_length: int,
     on_short: str = "error",
     series_ids=None,
 ) -> list[TimeSeries]:
@@ -306,9 +311,8 @@ class RegionSplit:
     test: tuple[int, int]
 
 
-def split(series: TimeSeries, spec: SplitSpec | None = None) -> RegionSplit:
+def split(series: TimeSeries, spec: SplitSpec) -> RegionSplit:
     """Partition a series into train/validation/test regions."""
-    spec = spec or SplitSpec()
     n = len(series)
     held = spec.test_months + spec.val_months
     train_stop = n - held
@@ -325,8 +329,7 @@ def split(series: TimeSeries, spec: SplitSpec | None = None) -> RegionSplit:
 
 
 def training_windows(
-    series_list, spec: SplitSpec | None = None, lookback: int = DEFAULT_LOOKBACK,
-    horizon: int = DEFAULT_HORIZON,
+    series_list, spec: SplitSpec, lookback: int, horizon: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every stride-1 window of each series' training region, stacked in series order.
 
@@ -336,7 +339,6 @@ def training_windows(
     offset 0, so window k of a series has its last lookback month (its anchor)
     at offset ``lookback - 1 + k``.
     """
-    spec = spec or SplitSpec()
     width = lookback + horizon
     empty = np.empty((0, width))
     views = []
@@ -348,8 +350,7 @@ def training_windows(
 
 
 def evaluation_windows(
-    series_list, spec: SplitSpec | None = None, lookback: int = DEFAULT_LOOKBACK,
-    horizon: int = DEFAULT_HORIZON, region: str = "test",
+    series_list, spec: SplitSpec, lookback: int, horizon: int, region: str
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """One window per series, in ``series_list`` order: the target row is the
     chosen held-out region and the lookback row the months right before it.
@@ -359,7 +360,6 @@ def evaluation_windows(
     """
     if region not in ("val", "test"):
         raise ValueError("region must be 'val' or 'test'")
-    spec = spec or SplitSpec()
     x = np.empty((len(series_list), lookback))
     y = np.empty((len(series_list), horizon))
     starts = []
@@ -410,15 +410,12 @@ class StratifiedSampler:
 # Synthetic benchmark
 # ---------------------------------------------------------------------------
 
+SYNTHETIC_START = (2010, 1)  # (year, month) of every synthetic series' first observation
+
+
 def synthetic_dataset(
-    n_series: int = 8,
-    months: int = 60,
-    *,
-    amplitude: float = 0.2,
-    trend_per_year: float = 0.02,
-    noise: float = 0.01,
-    seed: int = 0,
-    start: tuple[int, int] = (2010, 1),
+    n_series: int, months: int, *, amplitude: float, trend_per_year: float, noise: float,
+    seed: int,
 ) -> list[TimeSeries]:
     """Benchmark generator: sinusoidal seasonality + linear trend + multiplicative noise.
 
@@ -435,5 +432,5 @@ def synthetic_dataset(
         seasonal = 1.0 + amplitude * np.sin(2.0 * np.pi * (t + phase) / 12.0)
         trend = 1.0 + trend_per_year * t / 12.0
         factor = np.clip(1.0 + noise * rng.standard_normal(months), 0.05, None)
-        series.append(TimeSeries(f"S{i:02d}", start, level * seasonal * trend * factor))
+        series.append(TimeSeries(f"S{i:02d}", SYNTHETIC_START, level * seasonal * trend * factor))
     return series

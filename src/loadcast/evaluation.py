@@ -122,9 +122,7 @@ def _loss_transform(errors: np.ndarray, loss_kind: str) -> np.ndarray:
     raise ValueError("loss_kind must be 'absolute' or 'squared'")
 
 
-def diebold_mariano(
-    e1, e2, loss_kind: str = "absolute", horizon_correction: int = 1
-) -> DMResult:
+def diebold_mariano(e1, e2, loss_kind: str, horizon_correction: int) -> DMResult:
     """Equal-accuracy test on two aligned forecast-error series.
 
     The loss differential d_t = g(e1_t) - g(e2_t) is scored with
@@ -185,7 +183,7 @@ def z_critical(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def dm_decision(statistic: float, alpha: float = 0.01) -> dict:
+def dm_decision(statistic: float, alpha: float) -> dict:
     """Two-sided decision against the standard-normal critical value."""
     critical = z_critical(alpha)
     return {

@@ -21,10 +21,10 @@ class LossConfig:
     skips the per-row variance normalization.
     """
 
-    tau: float = 0.35
-    nmse_weight: float = 0.35
-    no_l2: bool = False
-    no_var: bool = False
+    tau: float
+    nmse_weight: float
+    no_l2: bool
+    no_var: bool
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -48,7 +48,7 @@ def pinball_coefficients(y, y_hat, tau: float) -> np.ndarray:
     return np.where(y >= y_hat, tau, tau - 1.0)
 
 
-def pmape(y, y_hat, tau: float = 0.35) -> float:
+def pmape(y, y_hat, tau: float) -> float:
     """Mean pinball loss on percentage errors over all N*H points."""
     y, y_hat = _check_pair(y, y_hat)
     return float(np.mean((y - y_hat) * (pinball_coefficients(y, y_hat, tau) / y)))
@@ -73,7 +73,7 @@ def _inverse_variance(y: np.ndarray, no_var: bool) -> np.ndarray:
     return 1.0 / var[:, None]
 
 
-def nmse(y, y_hat, *, no_var: bool = False) -> float:
+def nmse(y, y_hat, *, no_var: bool) -> float:
     """Squared error normalized by each row's variance.
 
     Equals 1.0 when the forecast is the row mean, i.e. when the model does no

@@ -105,17 +105,13 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: ModelConfig, seed=None) -> dict[str, np.ndarray]:
-    """Fresh trainable parameters.
+def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fresh trainable parameters, drawn from the ``Generator`` ``rng``.
 
     Hidden layers get He-style uniform fan-in scaling; the two linear heads
     start near zero (+-0.01) so the initial outputs sit at the block-input
     mean, which keeps early training stable under the destandardization skip.
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.default_rng(config.seed if seed is None else seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(config).items():
         _, layer, kind = name.split(".")

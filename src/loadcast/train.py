@@ -1,4 +1,4 @@
-"""Cross-learning training loop, checkpointing, and pool construction.
+"""Cross-learning training loop with Adam, checkpointing, and pool construction.
 
 One model trains on batches drawn by the stratified sampler across all series'
 training regions; the loss is computed on denormalized forecasts against raw
@@ -23,11 +23,11 @@ from .loss import _uses_l2
 from .model import (
     ModelConfig, config_hash, init_params, loss_and_grad, model_forward, parameter_shapes,
 )
-from .nn import AdamState, adam_step
 
 MANIFEST_FORMAT = "loadcast-pool"
 FORMAT_VERSION = 2
 MEMBERS_FILE = "members.npy"
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's standard moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,40 @@ def save_checkpoint(rows, index: int, params: dict, config: ModelConfig, seed: i
         row[name] = value
 
 
+@dataclass
+class AdamState:
+    """Per-parameter first/second moment accumulators plus the step counter."""
+
+    lr: float
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def adam_step(params: dict, grads: dict, state: AdamState):
+    """One bias-corrected Adam update, applied in place in float64. Returns (params, state)."""
+    state.step += 1
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        v = state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    return params, state
+
+
 def _loss_uses_row_variance(config: ModelConfig) -> bool:
     lc = config.loss_config()
     return _uses_l2(lc) and not lc.no_var
@@ -111,7 +145,7 @@ def train_one(
     schedule: TrainSchedule,
     member_seed: int,
     *,
-    split_spec: SplitSpec | None = None,
+    split_spec: SplitSpec,
 ) -> TrainResult:
     """Train a single model; fully reproducible from (config, schedule, member_seed)."""
     all_x, all_y, counts = training_windows(
@@ -239,13 +273,12 @@ def pool_manifest(pool: Pool) -> dict:
     return doc
 
 
-def write_manifest(pool: Pool, path) -> dict:
+def write_manifest(pool: Pool, path) -> None:
     doc = pool_manifest(pool)
     doc["created_at"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return doc
 
 
 def load_pool(manifest_path) -> Pool:
@@ -254,8 +287,11 @@ def load_pool(manifest_path) -> Pool:
     members file until ``Pool.member_params`` reads them."""
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MANIFEST_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{manifest_path}: not a pool manifest")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(
@@ -264,21 +300,27 @@ def load_pool(manifest_path) -> Pool:
         )
     try:
         config = ModelConfig(**doc["config"])
-        if config_hash(config) != doc["config_hash"]:
-            raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
         schedule = TrainSchedule(**doc["schedule"])
         split_spec = SplitSpec(**doc["split"])
         size = schedule.pool_size
-        rows = open_members(manifest_path.parent / doc["members_file"], config, size)
-        entries = doc["members"]
+        members_path = manifest_path.parent / doc["members_file"]
+        entries, run, recorded_hash = doc["members"], doc.get("run", {}), doc["config_hash"]
+        if not isinstance(entries, list) or not isinstance(run, dict):
+            raise TypeError("'members' must be an array and 'run' an object")
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: manifest has no field {exc}") from None
+    except (TypeError, ValueError) as exc:  # a field of the wrong type or value
+        raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from None
+    if config_hash(config) != recorded_hash:
+        raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
+    rows = open_members(members_path, config, size)
     members: list[TrainedMember | None] = [None] * size
     for k, entry in enumerate(entries):
-        index = entry.get("index")
-        if "seed" not in entry:
+        if not isinstance(entry, dict):
+            problem = "is not an object"
+        elif "seed" not in entry:
             problem = "has no seed"
-        elif type(index) is not int or not 0 <= index < size:
+        elif type(index := entry.get("index")) is not int or not 0 <= index < size:
             problem = f"has index {index!r}, outside 0..{size - 1}"
         elif members[index] is not None:
             problem = f"repeats member {index}"
@@ -293,7 +335,7 @@ def load_pool(manifest_path) -> Pool:
             f"{manifest_path}: no entry for member(s) {missing} of a pool of {size}, as an "
             "interrupted train leaves it; rerun train into the same directory to finish the pool"
         )
-    return Pool(config, schedule, split_spec, members, rows, doc.get("run", {}))
+    return Pool(config, schedule, split_spec, members, rows, run)
 
 
 def build_pool(
@@ -301,9 +343,9 @@ def build_pool(
     config: ModelConfig,
     schedule: TrainSchedule,
     *,
-    split_spec: SplitSpec | None = None,
+    split_spec: SplitSpec,
     out_dir=None,
-    workers: int = 1,
+    workers: int,
     extra_manifest: dict | None = None,
 ) -> Pool:
     """Train ``schedule.pool_size`` members; resumes from a partial build.
@@ -317,7 +359,6 @@ def build_pool(
     the parameters for this process to write; results are identical to a
     sequential build because each member is seed-deterministic.
     """
-    split_spec = split_spec or SplitSpec()
     seeds = member_seeds(schedule.seed, schedule.pool_size)
     expected_hash = config_hash(config)
     members: list[TrainedMember | None] = [None] * schedule.pool_size

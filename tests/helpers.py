@@ -115,7 +115,7 @@ def zero_head_params(config: ModelConfig, seed=11) -> dict:
     """Random MLP weights but exactly-zero heads, for traceable forward passes."""
     from loadcast.model import init_params
 
-    params = init_params(config, seed)
+    params = init_params(config, np.random.default_rng(seed))
     for name in params:
         if ".backcast." in name or ".forecast." in name:
             params[name] = np.zeros_like(params[name])

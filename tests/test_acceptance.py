@@ -53,7 +53,7 @@ def test_c1_gradient_correctness():
                 lookback=6, horizon=3, blocks=2, fc_width=8, fc_layers=2,
                 sharing=sharing, ablation=frozenset(flags), seed=3,
             )
-            params = init_params(config, 3)
+            params = init_params(config, np.random.default_rng(3))
             # stay clear of the excluded kink bands
             assert relu_margins(params, x, config) > 1e-4
             y_hat, _ = model_forward(params, x, config)
@@ -79,12 +79,11 @@ def test_c2_loss_identities():
 
     y = positive_batch(rng, (8, 12))
     baseline = np.repeat(y.mean(axis=1, keepdims=True), 12, axis=1)
-    mean_baseline_gap = abs(nmse(y, baseline) - 1.0)
+    mean_baseline_gap = abs(nmse(y, baseline, no_var=False) - 1.0)
 
     y_hat = y * rng.uniform(0.8, 1.2, size=y.shape)
-    bitwise = loss_components(y, y_hat, LossConfig(tau=0.35, nmse_weight=0.0))["loss"] == pmape(
-        y, y_hat, 0.35
-    )
+    pinball_only = LossConfig(tau=0.35, nmse_weight=0.0, no_l2=False, no_var=False)
+    bitwise = loss_components(y, y_hat, pinball_only)["loss"] == pmape(y, y_hat, 0.35)
 
     symmetric = True
     monotone = True
@@ -118,7 +117,7 @@ def test_c2_loss_identities():
 def test_c3_architecture_invariants():
     rng = np.random.default_rng(5)
     config = tiny_config(blocks=4, fc_width=16, sharing=True)
-    params = init_params(config, 21)
+    params = init_params(config, np.random.default_rng(21))
     x = positive_batch(rng, (6, 6))
 
     y_hat, forward = model_forward(params, x, config)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import loadcast
 from loadcast.cli import main
 from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
 from loadcast.model import ModelConfig, model_forward
+from loadcast.train import load_pool
 
 from helpers import dm_reference, params_of
 
@@ -92,13 +94,13 @@ def test_cli_import_loads_no_process_pool():
 def test_synth_writes_loadable_dataset(tmp_path):
     out = tmp_path / "synth.csv"
     assert run_cli("synth", "--out", out, "--series", 8, "--months", 60, "--seed", 0) == 0
-    series = load_dataset(out)
+    series = load_dataset(out, min_length=36)
     assert len(series) == 8
     assert all(len(s) == 60 for s in series)
 
     out_json = tmp_path / "synth.json"
     assert run_cli("synth", "--out", out_json, "--series", 2, "--months", 40) == 0
-    assert len(load_dataset(out_json)) == 2
+    assert len(load_dataset(out_json, min_length=36)) == 2
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -208,6 +210,38 @@ def test_manifest_ensemble_section_not_an_object_exits_2(tmp_path, workspace, ca
     out = tmp_path / "f.csv"
     assert run_cli("forecast", "--manifest", manifest, "--series", "S00", "--out", out) == 2
     assert "config section 'ensemble' must be a JSON object, got array" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda path: path.write_text(path.read_text().replace('"', "'", 1)),
+    lambda path: path.write_text(json.dumps([json.loads(path.read_text())])),
+    lambda path: _edit_json(path, lambda doc: doc.update(run=[doc["run"]])),
+    lambda path: _edit_json(path, lambda doc: doc["members"].append(3)),
+    lambda path: _edit_json(path, lambda doc: doc.update(config=list(doc["config"]))),
+    lambda path: _edit_json(path, lambda doc: doc["config"].update(bogus=1)),
+    lambda path: _edit_json(path, lambda doc: doc["schedule"].update(epochs="x")),
+    lambda path: _edit_json(path, lambda doc: doc.update(members_file=3)),
+], ids=["invalid-json", "top-level-list", "run-list", "member-not-object", "config-list",
+        "config-unknown-field", "epochs-string", "members-file-number"])
+def test_malformed_manifest_fails_naming_the_manifest(tmp_path, workspace, capsys, mutate):
+    import shutil
+
+    pool_dir = tmp_path / "pool"
+    shutil.copytree(workspace["root"] / "pool", pool_dir)
+    manifest = pool_dir / "manifest.json"
+    mutate(manifest)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{manifest}: ")):
+        load_pool(manifest)
+    out = tmp_path / "f.csv"
+    assert run_cli("forecast", "--manifest", manifest, "--series", "S00", "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"runtime error: {manifest}: ")
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import threading
 import warnings
 
@@ -24,6 +25,9 @@ from loadcast.data import (
     write_dataset_csv,
     write_dataset_json,
 )
+
+# the `synth` command's default generator settings
+SYNTH = dict(amplitude=0.2, trend_per_year=0.02, noise=0.01)
 
 
 def write_rows(path, rows, header=("series_id", "year", "month", "value")):
@@ -47,7 +51,7 @@ def test_minimal_csv_parse(tmp_path):
     assert np.array_equal(ts.values, [5000.0, 5200.0, 5100.0])
     # too short for the default config length requirement
     with pytest.raises(DatasetError, match="36"):
-        load_dataset(path)
+        load_dataset(path, min_length=36)
 
 
 def test_non_positive_value_names_row_and_rule(tmp_path):
@@ -91,16 +95,16 @@ def test_bad_header_and_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="header"):
         load_dataset(path, min_length=1)
     with pytest.raises(DatasetError, match="not found"):
-        load_dataset(tmp_path / "nope.csv")
+        load_dataset(tmp_path / "nope.csv", min_length=36)
 
 
 def test_json_and_csv_produce_identical_series(tmp_path):
-    series = synthetic_dataset(3, 40, seed=5)
+    series = synthetic_dataset(3, 40, **SYNTH, seed=5)
     csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
     write_dataset_csv(series, csv_path)
     write_dataset_json(series, json_path)
-    from_csv = load_dataset(csv_path)
-    from_json = load_dataset(json_path)
+    from_csv = load_dataset(csv_path, min_length=36)
+    from_json = load_dataset(json_path, min_length=36)
     assert [s.id for s in from_csv] == [s.id for s in from_json]
     for a, b in zip(from_csv, from_json):
         assert a.start == b.start
@@ -109,7 +113,7 @@ def test_json_and_csv_produce_identical_series(tmp_path):
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
-    series = synthetic_dataset(3, 40, seed=5)
+    series = synthetic_dataset(3, 40, **SYNTH, seed=5)
     path = tmp_path / f"d{suffix}"
     if suffix == ".csv":
         write_dataset_csv(series, path)
@@ -122,15 +126,15 @@ def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
         doc["series"][1]["values"][5] = "abc"
         path.write_text(json.dumps(doc))
         bad = "series entry 1: value at position 5 is not a number"
-    kept = load_dataset(path, series_ids=["S02", "S00"])
+    kept = load_dataset(path, min_length=36, series_ids=["S02", "S00"])
     assert [s.id for s in kept] == ["S00", "S02"]
     for got, want in zip(kept, [series[0], series[2]]):
         assert got.start == want.start and np.array_equal(got.values, want.values)
     for ids in (None, ["S01"], ["S00", "S01"]):
         with pytest.raises(DatasetError, match=bad):
-            load_dataset(path, series_ids=ids)
+            load_dataset(path, min_length=36, series_ids=ids)
     with pytest.raises(DatasetError, match="unknown series id 'NOPE'"):
-        load_dataset(path, series_ids=["S00", "NOPE"])
+        load_dataset(path, min_length=36, series_ids=["S00", "NOPE"])
 
 
 @pytest.mark.parametrize(
@@ -153,7 +157,7 @@ def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
 )
 def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
     path = tmp_path / "d.json"
-    write_dataset_json(synthetic_dataset(2, 40, seed=5), path)
+    write_dataset_json(synthetic_dataset(2, 40, **SYNTH, seed=5), path)
     if fault is None:
         path.write_text(path.read_text()[:-40])
     else:
@@ -161,7 +165,7 @@ def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
         doc["series"][1].update(fault)
         path.write_text(json.dumps(doc))
     with pytest.raises(DatasetError, match=message) as raised:
-        load_dataset(path)
+        load_dataset(path, min_length=36)
     assert str(raised.value).startswith(f"{path}: ")
 
 
@@ -170,18 +174,18 @@ def test_undecodable_dataset_names_its_path(tmp_path, suffix):
     path = tmp_path / f"d{suffix}"
     path.write_bytes(b"\xff\xfe" + "series_id,year,month,value\n".encode("utf-16-le"))
     with pytest.raises(DatasetError, match="cannot be read as text") as raised:
-        load_dataset(path)
+        load_dataset(path, min_length=36)
     assert str(raised.value).startswith(f"{path}: ")
 
 
 def test_json_start_may_be_whole_floats(tmp_path):
     path = tmp_path / "d.json"
-    write_dataset_json(synthetic_dataset(2, 40, seed=5), path)
-    expected = load_dataset(path)
+    write_dataset_json(synthetic_dataset(2, 40, **SYNTH, seed=5), path)
+    expected = load_dataset(path, min_length=36)
     doc = json.loads(path.read_text())
     doc["series"][1]["start"] = [float(v) for v in doc["series"][1]["start"]]
     path.write_text(json.dumps(doc))
-    for got, want in zip(load_dataset(path), expected):
+    for got, want in zip(load_dataset(path, min_length=36), expected):
         assert got.start == want.start and np.array_equal(got.values, want.values)
 
 
@@ -196,7 +200,7 @@ def test_cohort_shape(tmp_path):
             rows.append((sid, year, month, 1000.0 + i + j * 0.1))
     path = tmp_path / "cohort.csv"
     write_rows(path, rows)
-    series = load_dataset(path)
+    series = load_dataset(path, min_length=36)
     assert len(series) == 35
     got = sorted((len(s) for s in series), reverse=True)
     assert got == sorted(lengths, reverse=True)
@@ -231,7 +235,7 @@ def test_series_ids_split_only_the_requested_lines(
     path = tmp_path / "d.csv"
     series = {
         name.format(i): TimeSeries(name.format(i), s.start, s.values)
-        for i, s in enumerate(synthetic_dataset(128, 60, seed=5))
+        for i, s in enumerate(synthetic_dataset(128, 60, **SYNTH, seed=5))
     }
     write_dataset_csv(series.values(), path)
     if quoted is not None:  # a quote anywhere sends the whole file through the reader
@@ -250,7 +254,7 @@ def test_series_ids_split_only_the_requested_lines(
         return real_reader(counted(), *args, **kwargs)
 
     monkeypatch.setattr(data.csv, "reader", counting_reader)
-    got = load_dataset(path, series_ids=asked)
+    got = load_dataset(path, min_length=36, series_ids=asked)
     assert [s.id for s in got] == sorted(asked)
     for s in got:
         assert s.start == series[s.id].start and np.array_equal(s.values, series[s.id].values)
@@ -412,6 +416,21 @@ def test_series_id_holding_a_newline_matches_no_record(tmp_path):
         load_dataset(path, min_length=1, series_ids=["S1\nS12", "S12"])
 
 
+@pytest.mark.parametrize("series_ids, row, tail", [
+    (None, 4, []),
+    (["S1"], 4, []),
+    (["S1"], 4, ['S2,2001,1,"8"']),  # a quote sends the search to the full reader
+    (None, 1, []),
+], ids=["full-reader", "searched", "searched-quoted-file", "header"])
+def test_field_over_the_csv_limit_names_file_and_row(tmp_path, series_ids, row, tail):
+    lines = ["series_id,year,month,value", "S1,2001,1,5", "S1,2001,2,6", "S1,2001,3,7", *tail]
+    lines[row - 1] += "1" * 200_000  # longer than csv.field_size_limit(), 131,072 characters
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: row {row}: field larger than")):
+        load_dataset(path, min_length=1, series_ids=series_ids)
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
@@ -421,15 +440,15 @@ def make_series(n, sid="S", start=(2000, 1)):
 
 
 def test_split_default_partition():
-    regions = split(make_series(60))
+    regions = split(make_series(60), SplitSpec())
     assert regions.train == (0, 36) and regions.val == (36, 48) and regions.test == (48, 60)
-    regions = split(make_series(288))
+    regions = split(make_series(288), SplitSpec())
     assert regions.train == (0, 264) and regions.val == (264, 276) and regions.test == (276, 288)
 
 
 def test_split_reconstruction():
     ts = make_series(60)
-    regions = split(ts)
+    regions = split(ts, SplitSpec())
     joined = np.concatenate(
         [ts.values[slice(*regions.train)], ts.values[slice(*regions.val)], ts.values[slice(*regions.test)]]
     )
@@ -439,7 +458,7 @@ def test_split_reconstruction():
 def test_split_too_short_for_training_window():
     # 20 months cannot hold the 24 held-out months of the default split
     with pytest.raises(DatasetError, match="too short"):
-        split(make_series(20))
+        split(make_series(20), SplitSpec())
 
 
 def test_split_merged_validation_mode():
@@ -464,7 +483,7 @@ def test_window_counts():
 def test_window_roundtrip_reslices_source():
     spec = SplitSpec(test_months=0, val_months=0)  # the whole series is the training region
     for seed in range(3):
-        series = synthetic_dataset(2, 50, seed=seed)
+        series = synthetic_dataset(2, 50, **SYNTH, seed=seed)
         x, y, counts = training_windows(series, spec, 7, 4)
         assert counts.tolist() == [40, 40]
         for row in range(len(x)):
@@ -475,9 +494,9 @@ def test_window_roundtrip_reslices_source():
 
 
 def test_no_leakage_into_validation_or_test():
-    series = synthetic_dataset(5, 72, seed=2)
+    series = synthetic_dataset(5, 72, **SYNTH, seed=2)
     spec = SplitSpec()
-    x, y, counts = training_windows(series, spec)
+    x, y, counts = training_windows(series, spec, 12, 12)
     first = 0
     for ts, count in zip(series, counts):
         train_stop = split(ts, spec).train[1]
@@ -492,7 +511,7 @@ def test_no_leakage_into_validation_or_test():
 
 
 def test_evaluation_windows_positions():
-    series = synthetic_dataset(3, 60, seed=1)
+    series = synthetic_dataset(3, 60, **SYNTH, seed=1)
     x, y, starts = evaluation_windows(series, SplitSpec(), 12, 12, region="test")
     assert starts == [48, 48, 48]
     for i, ts in enumerate(series):
@@ -558,14 +577,14 @@ def test_sampler_determinism_and_single_series():
 # ---------------------------------------------------------------------------
 
 def test_synthetic_dataset_shape_and_determinism():
-    series = synthetic_dataset(8, 60, seed=0)
+    series = synthetic_dataset(8, 60, **SYNTH, seed=0)
     assert len(series) == 8
     assert all(len(s) == 60 for s in series)
     assert all(np.all(s.values > 0) for s in series)
-    again = synthetic_dataset(8, 60, seed=0)
+    again = synthetic_dataset(8, 60, **SYNTH, seed=0)
     for a, b in zip(series, again):
         assert np.array_equal(a.values, b.values)
-    changed = synthetic_dataset(8, 60, seed=1)
+    changed = synthetic_dataset(8, 60, **SYNTH, seed=1)
     assert not np.array_equal(series[0].values, changed[0].values)
 
 

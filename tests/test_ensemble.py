@@ -25,7 +25,7 @@ def make_pool(n_members, seed0=0, identical=False, **config):
     rows = np.zeros(n_members, dtype=member_dtype(cfg))
     members = []
     for i in range(n_members):
-        params = init_params(cfg, seed0 if identical else seed0 + i)
+        params = init_params(cfg, np.random.default_rng(seed0 if identical else seed0 + i))
         save_checkpoint(rows, i, params, cfg, seed0 + i)
         members.append(TrainedMember(seed0 + i, 0.0, []))
     return Pool(config=cfg, schedule=TrainSchedule(pool_size=n_members), split=SplitSpec(),

@@ -219,13 +219,13 @@ def test_dm_detects_clearly_worse_model():
 
 def test_dm_input_validation():
     with pytest.raises(ValueError, match="at least 8"):
-        diebold_mariano(np.ones(4), np.zeros(4))
+        diebold_mariano(np.ones(4), np.zeros(4), "absolute", 1)
     with pytest.raises(ValueError, match="equally long"):
-        diebold_mariano(np.ones(10), np.ones(9))
+        diebold_mariano(np.ones(10), np.ones(9), "absolute", 1)
     with pytest.raises(ValueError, match="loss_kind"):
-        diebold_mariano(np.ones(10), np.zeros(10), loss_kind="cubic")
+        diebold_mariano(np.ones(10), np.zeros(10), loss_kind="cubic", horizon_correction=1)
     with pytest.raises(ValueError, match="horizon"):
-        diebold_mariano(np.ones(10), np.zeros(10), horizon_correction=0)
+        diebold_mariano(np.ones(10), np.zeros(10), loss_kind="absolute", horizon_correction=0)
 
 
 def test_critical_values_match_scipy():

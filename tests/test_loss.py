@@ -75,20 +75,20 @@ def test_nmse_of_row_mean_baseline_is_one():
     rng = np.random.default_rng(3)
     y = positive_batch(rng, (6, 12))
     baseline = np.repeat(y.mean(axis=1, keepdims=True), 12, axis=1)
-    assert abs(nmse(y, baseline) - 1.0) < 1e-12
+    assert abs(nmse(y, baseline, no_var=False) - 1.0) < 1e-12
 
 
 def test_nmse_zero_when_exact_and_hand_value():
     y = np.array([[1.0, 3.0]])
-    assert nmse(y, y.copy()) == 0.0
+    assert nmse(y, y.copy(), no_var=False) == 0.0
     # Var((1,3)) = 1, errors (-1, 1) -> mean(1, 1) = 1
-    assert nmse(y, np.array([[2.0, 2.0]])) == pytest.approx(1.0, abs=1e-15)
+    assert nmse(y, np.array([[2.0, 2.0]]), no_var=False) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_nmse_constant_row_errors_with_row_index():
     y = np.array([[2.0, 3.0], [5.0, 5.0]])
     with pytest.raises(ValueError, match="row 1"):
-        nmse(y, y * 1.1)
+        nmse(y, y * 1.1, no_var=False)
     # noVar disables the normalization and the error
     assert nmse(y, y.copy(), no_var=True) == 0.0
 
@@ -105,7 +105,7 @@ def test_combined_equals_pmape_when_weight_zero():
     rng = np.random.default_rng(4)
     y = positive_batch(rng, (3, 4))
     y_hat = y * rng.uniform(0.8, 1.2, size=y.shape)
-    config = LossConfig(tau=0.35, nmse_weight=0.0)
+    config = LossConfig(tau=0.35, nmse_weight=0.0, no_l2=False, no_var=False)
     assert loss_components(y, y_hat, config)["loss"] == pmape(y, y_hat, 0.35)
     # constant rows are fine when the L2 term is off
     y_const = np.full((1, 3), 8.0)
@@ -116,12 +116,12 @@ def test_combined_no_l2_ignores_weight():
     rng = np.random.default_rng(5)
     y = positive_batch(rng, (2, 6))
     y_hat = y * 1.07
-    config = LossConfig(tau=0.35, nmse_weight=0.35, no_l2=True)
+    config = LossConfig(tau=0.35, nmse_weight=0.35, no_l2=True, no_var=False)
     assert loss_components(y, y_hat, config)["loss"] == pmape(y, y_hat, 0.35)
 
 
 def test_combined_hand_case_and_constant_row_error():
-    config = LossConfig(tau=0.35, nmse_weight=0.35)
+    config = LossConfig(tau=0.35, nmse_weight=0.35, no_l2=False, no_var=False)
     with pytest.raises(ValueError, match="row 0"):
         loss_components([[100.0, 100.0]], [[90.0, 110.0]], config)
 
@@ -140,16 +140,18 @@ def test_scale_invariance_of_both_components():
     y_hat = y * rng.uniform(0.85, 1.15, size=y.shape)
     for k in (7.3, 1000.0, 1e-3):
         assert pmape(k * y, k * y_hat, 0.35) == pytest.approx(pmape(y, y_hat, 0.35), rel=1e-12)
-        assert nmse(k * y, k * y_hat) == pytest.approx(nmse(y, y_hat), rel=1e-12)
+        assert nmse(k * y, k * y_hat, no_var=False) == pytest.approx(
+            nmse(y, y_hat, no_var=False), rel=1e-12
+        )
 
 
 def test_loss_config_validation():
     with pytest.raises(ValueError):
-        LossConfig(tau=0.0)
+        LossConfig(tau=0.0, nmse_weight=0.35, no_l2=False, no_var=False)
     with pytest.raises(ValueError):
-        LossConfig(tau=1.0)
+        LossConfig(tau=1.0, nmse_weight=0.35, no_l2=False, no_var=False)
     with pytest.raises(ValueError):
-        LossConfig(nmse_weight=-0.1)
+        LossConfig(tau=0.35, nmse_weight=-0.1, no_l2=False, no_var=False)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def test_loss_config_validation():
 
 def test_gradient_at_kink_uses_underprediction_branch():
     y = np.array([[100.0, 50.0]])
-    config = LossConfig(tau=0.5, nmse_weight=0.0)
+    config = LossConfig(tau=0.5, nmse_weight=0.0, no_l2=False, no_var=False)
     grad = loss_gradients(y, y.copy(), config)
     assert np.allclose(grad, -0.5 / (2.0 * y), rtol=0, atol=0)
 
@@ -168,10 +170,10 @@ def test_gradients_match_finite_differences_away_from_kinks():
     y = positive_batch(rng, (3, 4))
     y_hat = y * rng.uniform(0.8, 0.97, size=y.shape)  # clear of the kink
     for config in (
-        LossConfig(0.35, 0.35),
-        LossConfig(0.5, 0.0),
-        LossConfig(0.2, 0.7, no_var=True),
-        LossConfig(0.35, 0.35, no_l2=True),
+        LossConfig(0.35, 0.35, no_l2=False, no_var=False),
+        LossConfig(0.5, 0.0, no_l2=False, no_var=False),
+        LossConfig(0.2, 0.7, no_l2=False, no_var=True),
+        LossConfig(0.35, 0.35, no_l2=True, no_var=False),
     ):
         grad = loss_gradients(y, y_hat, config)
         h = 1e-6
@@ -189,9 +191,10 @@ def test_gradient_dominated_by_l2_term_at_large_weight():
     rng = np.random.default_rng(9)
     y = positive_batch(rng, (2, 4))
     y_hat = y * 1.1
-    big = loss_gradients(y, y_hat, LossConfig(0.35, 1e6))
-    l2_only = loss_gradients(y, y_hat, LossConfig(0.35, 1e6)) - loss_gradients(
-        y, y_hat, LossConfig(0.35, 0.0)
+    heavy = LossConfig(0.35, 1e6, no_l2=False, no_var=False)
+    big = loss_gradients(y, y_hat, heavy)
+    l2_only = loss_gradients(y, y_hat, heavy) - loss_gradients(
+        y, y_hat, LossConfig(0.35, 0.0, no_l2=False, no_var=False)
     )
     assert np.linalg.norm(big - l2_only) / np.linalg.norm(big) < 1e-5
 
@@ -201,13 +204,13 @@ def test_graph_components_log_actual_contributions():
     y = positive_batch(rng, (2, 4))
     y_hat = y * 0.9
 
-    config = LossConfig(0.35, 0.35)
+    config = LossConfig(0.35, 0.35, no_l2=False, no_var=False)
     parts = loss_components(y, y_hat, config)
-    assert parts["nmse"] == nmse(y, y_hat)
+    assert parts["nmse"] == nmse(y, y_hat, no_var=False)
     assert parts["nmse_term"] == pytest.approx(0.35 * parts["nmse"], rel=1e-15)
     assert parts["loss"] == parts["pmape"] + parts["nmse_term"]
 
-    config = LossConfig(0.35, 0.35, no_l2=True)
+    config = LossConfig(0.35, 0.35, no_l2=True, no_var=False)
     parts = loss_components(y, y_hat, config)
     assert parts["nmse"] is None and parts["nmse_term"] == 0.0
     assert parts["loss"] == parts["pmape"] == pmape(y, y_hat, 0.35)

@@ -92,7 +92,7 @@ def test_zero_heads_emit_input_mean():
 def test_constant_input_ignores_head_values():
     # zero spread forces Std = 0, so the heads cannot move the output
     cfg = tiny_config(blocks=1)
-    params = init_params(cfg, 5)
+    params = init_params(cfg, np.random.default_rng(5))
     x_m, backcast, forecast = one_block(params, np.full(6, 0.7), cfg)
     assert np.array_equal(backcast, np.full(6, x_m.mean()))
     assert np.array_equal(forecast, np.full(3, x_m.mean()))
@@ -131,7 +131,7 @@ def test_constant_series_zero_heads_forecast_exactly_c():
 
 def test_single_block_reduces_to_one_destandardized_head():
     cfg = tiny_config(blocks=1, sharing=True)
-    params = init_params(cfg, 8)
+    params = init_params(cfg, np.random.default_rng(8))
     x = np.array([[10.0, 40.0, 25.0, 30.0, 15.0, 20.0]])
     y_hat, _ = model_forward(params, x, cfg)
 
@@ -147,7 +147,7 @@ def test_single_block_reduces_to_one_destandardized_head():
 def test_decomposition_identity():
     rng = np.random.default_rng(1)
     cfg = tiny_config(blocks=4, sharing=True)
-    params = init_params(cfg, 2)
+    params = init_params(cfg, np.random.default_rng(2))
     x = positive_batch(rng, (5, 6))
     y_hat, forward = model_forward(params, x, cfg)
     contributions = decompose(forward)
@@ -158,7 +158,7 @@ def test_decomposition_identity():
 
 def test_single_block_decomposition_equals_forecast():
     cfg = tiny_config(blocks=1)
-    params = init_params(cfg, 4)
+    params = init_params(cfg, np.random.default_rng(4))
     x = np.array([[4.0, 8.0, 6.0, 5.0, 7.0, 9.0]])
     y_hat, forward = model_forward(params, x, cfg)
     assert np.array_equal(decompose(forward)[0], y_hat)
@@ -167,7 +167,7 @@ def test_single_block_decomposition_equals_forecast():
 def test_residual_nonnegativity_with_gate():
     rng = np.random.default_rng(2)
     cfg = tiny_config(blocks=4)
-    params = init_params(cfg, 6)
+    params = init_params(cfg, np.random.default_rng(6))
     _, forward = model_forward(params, positive_batch(rng, (8, 6)), cfg)
     for block in forward.blocks[1:]:
         assert np.all(block.hidden[0] >= 0.0)
@@ -176,7 +176,7 @@ def test_residual_nonnegativity_with_gate():
 def test_no_relu_allows_negative_residuals():
     rng = np.random.default_rng(3)
     cfg = tiny_config(blocks=4, ablation=frozenset({"noReLU"}))
-    params = init_params(cfg, 6)
+    params = init_params(cfg, np.random.default_rng(6))
     _, forward = model_forward(params, positive_batch(rng, (8, 6)), cfg)
     assert any(np.any(block.hidden[0] < 0.0) for block in forward.blocks[1:])
 
@@ -185,7 +185,7 @@ def test_no_relu_allows_negative_residuals():
 def test_forward_record_chains_the_residuals(ablation):
     rng = np.random.default_rng(6)
     cfg = tiny_config(blocks=4, ablation=frozenset(ablation))
-    params = init_params(cfg, 6)
+    params = init_params(cfg, np.random.default_rng(6))
     _, forward = model_forward(params, positive_batch(rng, (8, 6)), cfg)
     assert len(forward.blocks) == cfg.blocks
     for block, following in zip(forward.blocks, forward.blocks[1:]):
@@ -200,7 +200,7 @@ def test_forward_record_chains_the_residuals(ablation):
 def test_forward_scale_equivariance():
     rng = np.random.default_rng(4)
     cfg = tiny_config(blocks=3, fc_width=16, sharing=True)
-    params = init_params(cfg, 9)
+    params = init_params(cfg, np.random.default_rng(9))
     x = positive_batch(rng, (4, 6))
     base, _ = model_forward(params, x, cfg)
     for k in (3.0, 1000.0, 0.004):
@@ -210,7 +210,7 @@ def test_forward_scale_equivariance():
 
 def test_sharing_uses_one_parameter_set():
     cfg = tiny_config(sharing=True, blocks=3)
-    params = init_params(cfg, 1)
+    params = init_params(cfg, np.random.default_rng(1))
     assert all(name.startswith("shared.") for name in params)
 
     x = np.array([[1.0, 2.0, 1.5, 1.8, 1.2, 2.2]])
@@ -223,7 +223,7 @@ def test_sharing_uses_one_parameter_set():
 
 def test_unshared_blocks_are_independent_parameters():
     cfg = tiny_config(sharing=False, blocks=3)
-    params = init_params(cfg, 1)
+    params = init_params(cfg, np.random.default_rng(1))
     assert {name.split(".")[0] for name in params} == {"block0", "block1", "block2"}
 
     x = np.array([[1.0, 2.0, 1.5, 1.8, 1.2, 2.2]])
@@ -241,7 +241,7 @@ def test_gradient_flows_to_first_block():
     cfg = ModelConfig(
         lookback=6, horizon=3, blocks=6, fc_width=8, fc_layers=2, sharing=False, seed=0
     )
-    params = init_params(cfg, 12)
+    params = init_params(cfg, np.random.default_rng(12))
     x = positive_batch(rng, (4, 6))
     y = positive_batch(rng, (4, 3))
     _, _, grads = loss_and_grad(params, x, y, cfg)
@@ -253,7 +253,7 @@ def test_gradient_flows_to_first_block():
 
 def test_forward_graph_input_validation():
     cfg = tiny_config()
-    params = init_params(cfg, 3)
+    params = init_params(cfg, np.random.default_rng(3))
     with pytest.raises(ValueError, match="shape"):
         model_forward(params, np.ones((2, 5)), cfg)
     with pytest.raises(ValueError, match="shape"):

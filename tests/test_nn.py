@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from loadcast.model import (
     ABLATION_FLAGS, ModelConfig, affine, init_params, loss_and_grad, model_forward,
 )
-from loadcast.nn import AdamState, adam_step
+from loadcast.train import AdamState, adam_step
 
 from helpers import (
     GradCheckReport, batch_objective, grad_check, positive_batch, relu_margins, tiny_config,
@@ -60,7 +60,7 @@ def one_layer_model(**overrides):
 def test_relu_values_and_subgradient():
     # zero weights pin the three pre-activations at their biases -1, 0 and 2
     cfg = one_layer_model()
-    params = init_params(cfg, 0)
+    params = init_params(cfg, np.random.default_rng(0))
     params["shared.fc0.W"][:] = 0.0
     params["shared.fc0.b"][:] = [-1.0, 0.0, 2.0]
     rng = np.random.default_rng(1)
@@ -78,7 +78,7 @@ def test_relu_gradient_matches_finite_differences():
     x, y = positive_batch(rng, (3, 6)), positive_batch(rng, (3, 3))
     for point in (-1.0, 2.0):
         cfg = one_layer_model()
-        params = init_params(cfg, 4)
+        params = init_params(cfg, np.random.default_rng(4))
         params["shared.fc0.W"] *= 0.01  # keep every pre-activation near ``point``
         params["shared.fc0.b"][:] = point
         report = grad_check(batch_objective(x, y, cfg), params, tolerance=1e-6)
@@ -92,7 +92,7 @@ def test_backward_sum_of_dense_gives_inputs():
     from loadcast.model import normalize_input
 
     cfg = one_layer_model(ablation=frozenset({"noDestd"}))
-    params = init_params(cfg, 6)
+    params = init_params(cfg, np.random.default_rng(6))
     rng = np.random.default_rng(3)
     x, y = positive_batch(rng, (5, 6)), positive_batch(rng, (5, 3))
     _, _, grads = loss_and_grad(params, x, y, cfg)
@@ -110,7 +110,8 @@ def test_backward_disconnected_parameter_gets_zeros():
     cfg = tiny_config(blocks=3, sharing=False)
     rng = np.random.default_rng(4)
     _, _, grads = loss_and_grad(
-        init_params(cfg, 5), positive_batch(rng, (4, 6)), positive_batch(rng, (4, 3)), cfg
+        init_params(cfg, np.random.default_rng(5)), positive_batch(rng, (4, 6)),
+        positive_batch(rng, (4, 3)), cfg,
     )
     assert np.array_equal(grads["block2.backcast.W"], np.zeros((6, 8)))
     assert np.array_equal(grads["block2.backcast.b"], np.zeros(6))
@@ -131,7 +132,7 @@ def test_backward_random_composite_matches_fd(blocks, fc_layers, sharing, flag, 
         sharing=sharing, ablation=frozenset({flag} if flag else ()), seed=seed,
     )
     rng = np.random.default_rng(seed)
-    params = init_params(cfg, seed)
+    params = init_params(cfg, np.random.default_rng(seed))
     x, y = positive_batch(rng, (2, 5)), positive_batch(rng, (2, 3))
     # finite differences are only meaningful away from the ReLU and pinball kinks
     assume(relu_margins(params, x, cfg) > 1e-4)
@@ -146,7 +147,7 @@ def test_row_stats_gradients():
     # input only through the destandardization mean and std; block 0 learns
     # through them
     cfg = tiny_config(blocks=2, sharing=False)
-    params = init_params(cfg, 7)
+    params = init_params(cfg, np.random.default_rng(7))
     params["block1.fc1.W"][:] = 0.0
     params["block1.fc1.b"][:] = 0.5
     rng = np.random.default_rng(9)
@@ -165,7 +166,7 @@ def test_row_std_zero_spread_subgradient_is_zero():
         cfg = tiny_config(blocks=3, sharing=False, ablation=ablation)
         rng = np.random.default_rng(10)
         x, y = np.full((2, 6), 42.0), positive_batch(rng, (2, 3))
-        _, _, grads = loss_and_grad(init_params(cfg, 11), x, y, cfg)
+        _, _, grads = loss_and_grad(init_params(cfg, np.random.default_rng(11)), x, y, cfg)
         for name, g in grads.items():
             assert np.array_equal(g, np.zeros_like(g)), name
 
@@ -176,7 +177,7 @@ def test_row_std_zero_spread_subgradient_is_zero():
 
 def test_adam_zero_gradient_keeps_params():
     params = {"w": np.array([1.0, -2.0])}
-    state = AdamState()
+    state = AdamState(lr=0.001)
     adam_step(params, {"w": np.zeros(2)}, state)
     assert np.array_equal(params["w"], [1.0, -2.0])
     assert state.step == 1
@@ -184,7 +185,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_moves_against_constant_gradient():
     params = {"w": np.array([0.0])}
-    state = AdamState()
+    state = AdamState(lr=0.001)
     for _ in range(50):
         adam_step(params, {"w": np.array([2.5])}, state)
     assert params["w"][0] < 0.0
@@ -199,20 +200,20 @@ def test_adam_single_step_magnitude():
 
 def test_adam_nonfinite_gradient_names_parameter():
     with pytest.raises(FloatingPointError, match="w_bad"):
-        adam_step({"w_bad": np.zeros(2)}, {"w_bad": np.array([np.nan, 0.0])}, AdamState())
+        adam_step({"w_bad": np.zeros(2)}, {"w_bad": np.array([np.nan, 0.0])}, AdamState(lr=0.001))
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState())
+        adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState(lr=0.001))
 
 
 def test_adam_update_invariant_to_gradient_rescaling():
     p1 = {"w": np.array([1.0, -1.0, 0.5])}
     p2 = {"w": np.array([1.0, -1.0, 0.5])}
     g = np.array([0.3, -0.2, 0.9])
-    adam_step(p1, {"w": g}, AdamState())
-    adam_step(p2, {"w": 10.0 * g}, AdamState())
+    adam_step(p1, {"w": g}, AdamState(lr=0.001))
+    adam_step(p2, {"w": 10.0 * g}, AdamState(lr=0.001))
     assert np.allclose(p1["w"], p2["w"], atol=1e-7)
 
 
@@ -246,7 +247,7 @@ def test_grad_check_negative_control_names_block():
         grads["block1.fc0.b"] = 2.0 * grads["block1.fc0.b"]  # deliberate gradient bug
         return loss, grads
 
-    report = grad_check(fn, init_params(cfg, 3), tolerance=1e-4)
+    report = grad_check(fn, init_params(cfg, np.random.default_rng(3)), tolerance=1e-4)
     assert not report.passed
     assert report.failed == ["block1.fc0.b"]
 

@@ -90,7 +90,7 @@ def test_constant_target_names_its_series_and_anchor():
 
 def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
     def poisoned(config, seed=None):
-        params = init_params(config, seed)
+        params = init_params(config, np.random.default_rng(seed))
         first = next(iter(params))
         params[first] = params[first] * np.nan
         return params
@@ -115,7 +115,7 @@ def test_checkpoint_roundtrip(tmp_path):
     seed = member_seeds(0, 1)[0]  # a full-width uint64
     for sharing in (True, False):
         cfg = tiny_config(sharing=sharing)
-        params = init_params(cfg, 17)
+        params = init_params(cfg, np.random.default_rng(17))
         path = tmp_path / f"members-{sharing}.npy"
         save_checkpoint(open_memmap(path, mode="w+", dtype=member_dtype(cfg), shape=(3,)), 1,
                         params, cfg, seed=seed)
@@ -139,7 +139,8 @@ def test_train_one_persists_checkpoint(tmp_path):
     for sharing in (True, False):
         cfg = tiny_config(sharing=sharing)
         out_dir = tmp_path / f"sharing-{sharing}"
-        pool = build_pool(tiny_dataset(), cfg, schedule, split_spec=TINY_SPLIT, out_dir=out_dir)
+        pool = build_pool(tiny_dataset(), cfg, schedule, split_spec=TINY_SPLIT, workers=1,
+                          out_dir=out_dir)
         assert not hasattr(pool.members[0], "params")
         assert str(pool.rows.filename) == str(out_dir / "members.npy")
         direct = train_one(tiny_dataset(), cfg, schedule, pool.members[0].seed,
@@ -160,7 +161,8 @@ def test_member_seeds_are_stable_and_distinct():
 
 def test_pool_members_differ(tmp_path):
     pool = build_pool(
-        tiny_dataset(), tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path
+        tiny_dataset(), tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+        out_dir=tmp_path,
     )
     assert len(pool.members) == 2
     a = params_of(pool, 0)
@@ -175,9 +177,9 @@ def test_pool_members_differ(tmp_path):
 
 def test_pool_rebuild_gives_identical_manifest(tmp_path):
     series = tiny_dataset()
-    pool1 = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    pool1 = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                        out_dir=tmp_path / "a")
-    pool2 = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    pool2 = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                        out_dir=tmp_path / "b")
     doc1 = json.loads((tmp_path / "a" / "manifest.json").read_text())
     doc2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
@@ -198,20 +200,23 @@ def record_row_writes(monkeypatch):
 def test_pool_resume_skips_existing_members(tmp_path, monkeypatch):
     series = tiny_dataset()
     store = tmp_path / "members.npy"
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
     first = (store.stat().st_mtime_ns, store.read_bytes())
     written = record_row_writes(monkeypatch)
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
     assert written == [] and (store.stat().st_mtime_ns, store.read_bytes()) == first
 
     # a config change invalidates the stored rows and retrains every member
-    build_pool(series, tiny_config(tau=0.4), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(tau=0.4), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
     assert written == [0, 1] and store.read_bytes() != first[1]
 
 
 def test_partial_pool_resume_retrains_only_missing_members(tmp_path, monkeypatch):
     series = tiny_dataset()
-    reference = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    reference = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                            out_dir=tmp_path)
     store, manifest = tmp_path / "members.npy", tmp_path / "manifest.json"
     kept, lost = row_bytes(store, 0), row_bytes(store, 1)
@@ -220,7 +225,7 @@ def test_partial_pool_resume_retrains_only_missing_members(tmp_path, monkeypatch
     manifest.write_text(json.dumps(doc))
 
     written = record_row_writes(monkeypatch)
-    rebuilt = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    rebuilt = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                          out_dir=tmp_path)
     assert written == [1]
     assert (row_bytes(store, 0), row_bytes(store, 1)) == (kept, lost)
@@ -232,14 +237,14 @@ def test_truncated_checkpoint_is_retrained_on_resume(tmp_path):
     # a crash mid-write leaves a truncated members file; resume must rebuild
     # it and retrain every member, not abort
     series = tiny_dataset()
-    clean = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    clean = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                        out_dir=tmp_path / "clean")
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                out_dir=tmp_path / "crashed")
     broken = tmp_path / "crashed" / "members.npy"
     broken.write_bytes(broken.read_bytes()[: broken.stat().st_size // 2])
 
-    resumed = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    resumed = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                          out_dir=tmp_path / "crashed")
     docs = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("clean", "crashed")]
     for doc in docs:
@@ -254,14 +259,14 @@ def test_truncated_manifest_resume_matches_clean_build(tmp_path):
     # a crash while the manifest is written leaves intact checkpoints whose loss
     # no manifest records; the resume must not write NaN for them
     series = tiny_dataset()
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                out_dir=tmp_path / "clean")
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                out_dir=tmp_path / "crashed")
     manifest = tmp_path / "crashed" / "manifest.json"
     manifest.write_bytes(manifest.read_bytes()[:100])
 
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                out_dir=tmp_path / "crashed")
     docs = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("clean", "crashed")]
     for doc in docs:
@@ -276,16 +281,16 @@ def test_manifest_written_once_per_trained_member(tmp_path, monkeypatch):
                         lambda pool, path: writes.append(path) or original(pool, path))
     schedule = TrainSchedule(epochs=1, batches_per_epoch=2, batch_size=8, pool_size=3, seed=42)
     series = tiny_dataset()
-    build_pool(series, tiny_config(), schedule, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(), schedule, split_spec=TINY_SPLIT, workers=1, out_dir=tmp_path)
     assert len(writes) == 3
     # a resume that trains nothing still rewrites the manifest, once
-    build_pool(series, tiny_config(), schedule, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(), schedule, split_spec=TINY_SPLIT, workers=1, out_dir=tmp_path)
     assert len(writes) == 4
 
 
 def test_pool_manifest_loads_back(tmp_path):
     series = tiny_dataset()
-    built = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    built = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                        out_dir=tmp_path)
     loaded = load_pool(tmp_path / "manifest.json")
     assert loaded.config == built.config
@@ -300,9 +305,9 @@ def test_pool_manifest_loads_back(tmp_path):
 def test_pool_built_in_memory_holds_the_members_file_rows(tmp_path):
     # without out_dir the members are rows of the same dtype, held in memory
     series = tiny_dataset()
-    stored = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    stored = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                         out_dir=tmp_path)
-    in_memory = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT)
+    in_memory = build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1)
     rows = in_memory.rows
     assert type(rows) is np.ndarray and rows.dtype == member_dtype(tiny_config())
     assert rows.tobytes() == open_memmap(tmp_path / "members.npy", mode="r").tobytes()
@@ -320,7 +325,7 @@ def test_pool_built_in_memory_holds_the_members_file_rows(tmp_path):
     (lambda doc: doc.pop("schedule"), "manifest has no field 'schedule'"),
 ], ids=["interrupted", "no-seed", "index-out-of-range", "repeated-index", "no-schedule"])
 def test_load_pool_refuses_a_manifest_not_listing_each_member_once(tmp_path, edit, message):
-    build_pool(tiny_dataset(), tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT,
+    build_pool(tiny_dataset(), tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
                out_dir=tmp_path)
     manifest = tmp_path / "manifest.json"
     doc = json.loads(manifest.read_text())
@@ -352,7 +357,8 @@ def test_parallel_build_writes_the_same_members_file(tmp_path):
 
 def test_version_1_pool_is_refused_and_retrained(tmp_path, monkeypatch):
     series = tiny_dataset()
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
     manifest = tmp_path / "manifest.json"
     doc = json.loads(manifest.read_text())
     manifest.write_text(json.dumps(dict(doc, version=1)))
@@ -361,7 +367,8 @@ def test_version_1_pool_is_refused_and_retrained(tmp_path, monkeypatch):
     assert str(err.value).endswith("the pool must be retrained")
 
     written = record_row_writes(monkeypatch)
-    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, out_dir=tmp_path)
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
     assert written == [0, 1]
     assert params_of(load_pool(manifest), 1)
 
