@@ -53,14 +53,18 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
 
     A draw with replacement is fixed by how often it takes each member, so when
     the pool is no larger than the draw, the members are sorted once at every
-    position, and a trial reads its middle order statistics off its cumulative
-    member counts in that order. The median is the middle one for an odd draw
-    and half the sum of the two middle ones for an even draw, as in
+    position and one walk over the sorted positions serves every trial. Each
+    step adds the count of the member sorted there to every trial's running
+    draw count, in the smallest unsigned dtype that holds the draw, and counts
+    the positions still at or below each middle order statistic. Those counts
+    index both middle order statistics. The median is the middle one for an
+    odd draw and half the sum of the two middle ones for an even draw, as in
     ``np.median``, so the bits equal ``np.median`` over the drawn members, NaN
     wherever a drawn member is NaN. Only which of two tied zeros of opposite
-    sign comes back may differ. That costs each trial work in proportion to the
-    pool, so a pool larger than the draw takes ``np.median`` of each trial's
-    gathered members instead, in proportion to the draw.
+    sign comes back may differ. The walk's work grows with members x trials x
+    positions and its memory with trials x positions, so a pool larger than the
+    draw takes ``np.median`` of each trial's gathered members instead, in
+    proportion to the draw.
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
@@ -80,21 +84,38 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
         return out
 
     flat = matrix.reshape(len(matrix), -1)
+    positions = flat.shape[1]
     order = np.argsort(flat, axis=0)
     ordered = np.take_along_axis(flat, order, axis=0)
+    order = order.astype(np.min_scalar_type(len(matrix) - 1))
+    trials, size = draws.shape
+    count = np.min_scalar_type(size)
+    # counts[m, t]: how often trial t draws member m
+    counts = np.bincount((draws + len(matrix) * np.arange(trials)[:, None]).ravel(),
+                         minlength=len(matrix) * trials).reshape(trials, -1).T.astype(count)
+    # the walk, laid out (positions, trials): drawn_upto counts the draws at or
+    # below the current sorted member, and ranks[i] the sorted members passed
+    # with at most middles[i] draws, which is the rank of order statistic middles[i]
+    middles = sorted({(size - 1) // 2, size // 2})
+    drawn_upto = np.zeros((positions, trials), dtype=count)
+    ranks = [np.zeros_like(drawn_upto) for _ in middles]
+    passed = np.empty(drawn_upto.shape, dtype=bool)
+    for j in range(len(matrix) - 1):  # every draw is at or below the last member
+        drawn_upto += counts[order[j]]
+        for k, rank in zip(middles, ranks):
+            np.less_equal(drawn_upto, k, out=passed)
+            rank += passed
+
+    # the middle order statistics, (trials, positions) like ``out``
+    columns = np.arange(positions)
+    median = out.reshape(trials, -1)
+    median[...] = ordered[ranks[0].T, columns]
+    if len(ranks) == 2:
+        median += ordered[ranks[1].T, columns]
+        median /= 2
     nan = np.isnan(flat)
-    size = draws.shape[1]
-    for t, drawn in enumerate(draws):
-        counts = np.bincount(drawn, minlength=len(matrix))
-        # drawn_upto[j] = draws at or below sorted position j; order statistic k
-        # sits at the first position where it exceeds k
-        drawn_upto = np.cumsum(counts[order], axis=0)
-        lower, upper = (
-            np.take_along_axis(ordered, (drawn_upto <= k).sum(axis=0)[None], axis=0)[0]
-            for k in ((size - 1) // 2, size // 2)
-        )
-        median = lower if size % 2 else (lower + upper) / 2
-        out[t] = np.where((counts > 0) @ nan, np.nan, median).reshape(matrix.shape[1:])
+    if nan.any():
+        median[(counts.T > 0) @ nan] = np.nan
     return out
 
 

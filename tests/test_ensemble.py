@@ -197,6 +197,62 @@ def test_median_of_a_large_pool_allocates_in_proportion_to_the_draw():
     assert peak < matrix.nbytes / 20
 
 
+@pytest.mark.parametrize("size", [63, 64])
+def test_median_of_a_pool_as_large_as_the_draw_matches_np_median(size):
+    # the production shape: pool = draw, 128 series x 12 months, odd and even draws
+    rng = np.random.default_rng(size)
+    matrix = 1000.0 + 100.0 * rng.normal(size=(size, 128, 12))
+    matrix[rng.integers(size, size=50), rng.integers(128, size=50), 3] = 1000.0  # ties
+    draws = rng.integers(size, size=(12, size))
+    got = aggregate_forecasts(matrix, draws, "median")
+    assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
+
+
+@pytest.mark.parametrize("pool_size, size", [
+    (200, 255), (255, 255), (255, 256), (256, 256), (256, 257), (257, 257), (2, 256), (1, 300),
+])
+def test_median_across_integer_width_boundaries(pool_size, size):
+    # draw counts leave uint8 above 255 draws, member ranks above 256 members
+    rng = np.random.default_rng([pool_size, size])
+    matrix = rng.choice(np.linspace(-3.0, 5.0, 9), size=(pool_size, 2, 3))
+    matrix[:, 1] += rng.normal(size=(pool_size, 3))
+    draws = rng.integers(pool_size, size=(4, size))
+    draws[0] = pool_size - 1  # one trial takes every draw from one member
+    got = aggregate_forecasts(matrix, draws, "median")
+    assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
+
+
+def test_median_of_the_one_trial_a_forecast_passes():
+    # forecast runs only the distinct members drawn and aggregates its one trial over them
+    rng = np.random.default_rng(8)
+    pool = 1000.0 + 100.0 * rng.normal(size=(16, 1, 12))
+    spec = EnsembleSpec(ensemble_size=64, trials=1, seed=3)
+    for trial in range(20):
+        drawn = draw_member_indices(16, spec, trial)
+        members, inverse = np.unique(drawn, return_inverse=True)
+        got = aggregate_forecasts(pool[members], inverse[None], "median")
+        assert got.shape == (1, 1, 12)
+        assert np.array_equal(_bits(got), _bits(median_reference(pool[members], inverse[None])))
+        assert np.array_equal(_bits(got), _bits(median_reference(pool, drawn[None])))
+
+
+def test_median_walk_allocates_in_proportion_to_trials_times_positions():
+    # a formulation that holds members x members x positions (a count-matrix
+    # product) or members x trials x positions would exceed this
+    rng = np.random.default_rng(9)
+    matrix = rng.uniform(900.0, 1100.0, size=(64, 128, 12))
+    draws = rng.integers(64, size=(100, 64))
+    aggregate_forecasts(matrix[:, :1, :1], draws, "median")  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        got = aggregate_forecasts(matrix, draws, "median")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
+    assert peak < 4 * got.nbytes + matrix.nbytes
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     members=st.integers(1, 6),
