@@ -228,6 +228,13 @@ def _open_pool(args, series_ids):
     return pool, dataset, series_list, _ensemble_from_args(base_spec, args)
 
 
+def _run_config(args) -> RunConfig:
+    """The run config of a training command, after checking its ``--workers``."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return load_run_config(args.config, args.set)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -255,7 +262,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, args.set)
+    cfg = _run_config(args)
     _require_dataset(cfg)
     if args.dry_run:
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -461,7 +468,7 @@ def _train_and_score(series, cfg: RunConfig, model_cfg, schedule, region: str, w
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config, args.set)
+    cfg = _run_config(args)
     _require_dataset(cfg)
     out_dir = Path(args.out_dir or cfg.output_dir or "ablation")
     series = _load_series(cfg.dataset, cfg.model, args.drop_short, series_ids=None)
@@ -595,7 +602,7 @@ def _grid_target(field: str):
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_run_config(args.config, args.set)
+    cfg = _run_config(args)
     _require_dataset(cfg)
     if cfg.split.val_months < 1:
         raise ConfigError("sweep needs split.val_months >= 1 to score on the validation block")

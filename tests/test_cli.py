@@ -454,6 +454,20 @@ def test_evaluate_reruns_byte_identical_payload(tmp_path, workspace):
     assert (out_a / "per_series.csv").read_text() == (out_b / "per_series.csv").read_text()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_workers_below_one_exit_2_writing_nothing(tmp_path, workspace, capsys, command, workers):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(workspace["config"], output_dir=str(tmp_path / "pool"))))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"tau": [0.3]}))
+    extra = {"train": [], "ablate": ["--out-dir", tmp_path / "out"],
+             "sweep": ["--grid", grid, "--out-dir", tmp_path / "out"]}[command]
+    assert run_cli(command, "--config", config, "--workers", workers, *extra) == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "grid.json"]
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
