@@ -31,11 +31,17 @@ def point_errors(y, y_hat) -> np.ndarray:
 
 
 def _standardized_moment(x, k: int):
-    """k-th central moment over m2 ** (k/2) along the last axis; 0.0 where the spread is 0."""
+    """k-th central moment, k = 3 or 4, over m2 ** (k/2) along the last axis; 0.0
+    where the spread is 0."""
     x = np.asarray(x, dtype=np.float64)
     centered = x - x.mean(axis=-1, keepdims=True)
-    m2 = np.mean(centered**2, axis=-1)
-    mk = np.mean(centered**k, axis=-1)
+    power = np.square(centered)
+    m2 = np.mean(power, axis=-1)
+    # the cube and fourth power as products with the squares, made in place:
+    # numpy's array power is ~45x slower, and its bits depend on which of its
+    # SIMD loops the CPU runs
+    np.multiply(power, centered if k == 3 else power, out=power)
+    mk = np.mean(power, axis=-1)
     # one scalar power per sample: numpy's array power can differ from it in the last bit
     denom = np.reshape([m ** (k / 2) for m in np.ravel(m2).tolist()], m2.shape)
     return np.divide(mk, denom, out=np.zeros_like(mk), where=m2 != 0.0)[()]

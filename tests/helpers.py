@@ -105,8 +105,8 @@ def metrics_reference(y, y_hat):
         aggregate = {name: float(np.mean([m[name] for m in per_series])) for name in per_series[0]}
         centered = np.concatenate(pooled) - np.concatenate(pooled).mean()
         m2 = np.mean(centered**2)
-        aggregate["mpe_skewness"] = float(np.mean(centered**3) / m2**1.5) if m2 else 0.0
-        aggregate["mpe_kurtosis"] = float(np.mean(centered**4) / m2**2) if m2 else 0.0
+        aggregate["mpe_skewness"] = float(np.mean(centered**2 * centered) / m2**1.5) if m2 else 0.0
+        aggregate["mpe_kurtosis"] = float(np.mean(centered**2 * centered**2) / m2**2) if m2 else 0.0
         out.append((per_series, aggregate))
     return out
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import loadcast
 from loadcast.baselines import seasonal_naive
 from loadcast.evaluation import (
     REPORT_METRICS,
@@ -156,6 +162,35 @@ def test_skewness_and_kurtosis_estimators():
     rows = np.stack([right_tailed, np.full(4000, 2.0)])
     assert skewness(rows).tolist() == [skewness(right_tailed), 0.0]
     assert kurtosis(rows).tolist() == [kurtosis(right_tailed), 0.0]
+
+
+def _active_avx512_targets():
+    from numpy._core import _multiarray_umath as umath
+
+    return [target for target in umath.__cpu_dispatch__
+            if (target == "X86_V4" or target.startswith("AVX512"))
+            and umath.__cpu_features__.get(target)]
+
+
+def test_moments_do_not_depend_on_numpy_avx512_loops():
+    """A process with numpy's AVX-512 loops off, as on an AVX2-only CPU, gives
+    the same skewness and kurtosis bits as this one. On an AVX-512 machine with
+    every target, that is NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR."""
+    targets = _active_avx512_targets()
+    if not targets:
+        pytest.skip("numpy runs no AVX-512 loops here, so both processes would run the same ones")
+    probe = (
+        "import numpy as np; from loadcast.evaluation import kurtosis, skewness; "
+        "x = 5.0 * np.random.default_rng(0).standard_t(4, size=(100, 1536)) + 1.0; "
+        "print(skewness(x).tobytes().hex(), kurtosis(x).tobytes().hex())"
+    )
+    src = str(Path(loadcast.__file__).parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(targets),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    x = 5.0 * np.random.default_rng(0).standard_t(4, size=(100, 1536)) + 1.0
+    assert out.stdout.split() == [skewness(x).tobytes().hex(), kurtosis(x).tobytes().hex()]
 
 
 def test_aggregate_requires_series():
