@@ -53,11 +53,11 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
 
     A draw with replacement is fixed by how often it takes each member, so when
     the pool is no larger than the draw, the members are sorted once at every
-    position and one walk over the sorted positions serves every trial. Each
+    position and one walk over the sorted members serves every trial. Each
     step adds the count of the member sorted there to every trial's running
-    draw count, in the smallest unsigned dtype that holds the draw, and counts
-    the positions still at or below each middle order statistic. Those counts
-    index both middle order statistics. The median is the middle one for an
+    draw count, in the smallest unsigned dtype that holds the draw. Per middle
+    order statistic k, the number of steps that end with at most k draws is
+    the sorted rank of that statistic. The median is the middle one for an
     odd draw and half the sum of the two middle ones for an even draw, as in
     ``np.median``, so the bits equal ``np.median`` over the drawn members, NaN
     wherever a drawn member is NaN. Only which of two tied zeros of opposite
@@ -93,9 +93,8 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     # counts[m, t]: how often trial t draws member m
     counts = np.bincount((draws + len(matrix) * np.arange(trials)[:, None]).ravel(),
                          minlength=len(matrix) * trials).reshape(trials, -1).T.astype(count)
-    # the walk, laid out (positions, trials): drawn_upto counts the draws at or
-    # below the current sorted member, and ranks[i] the sorted members passed
-    # with at most middles[i] draws, which is the rank of order statistic middles[i]
+    # the walk's state is laid out (positions, trials), so that one step's
+    # counts are one row gather of ``counts``
     middles = sorted({(size - 1) // 2, size // 2})
     drawn_upto = np.zeros((positions, trials), dtype=count)
     ranks = [np.zeros_like(drawn_upto) for _ in middles]

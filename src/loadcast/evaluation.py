@@ -38,7 +38,7 @@ def _standardized_moment(x, k: int):
     power = np.square(centered)
     m2 = np.mean(power, axis=-1)
     # the cube and fourth power as products with the squares, made in place:
-    # numpy's array power is ~45x slower, and its bits depend on which of its
+    # numpy's array power is ~50x slower, and its bits depend on which of its
     # SIMD loops the CPU runs
     np.multiply(power, centered if k == 3 else power, out=power)
     mk = np.mean(power, axis=-1)
