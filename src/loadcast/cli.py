@@ -17,7 +17,6 @@ import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .evaluation import (
     point_errors,
 )
 from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose
-from .train import TrainSchedule, build_pool, load_pool
+from .train import TrainSchedule, build_pool, load_pool, read_record, utc_now, write_json
 
 SPLIT_REGIONS = ("test", "val")
 
@@ -86,39 +85,12 @@ def _apply_override(doc: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _json_kind(value) -> str:
-    return {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}.get(
-        type(value), "number")
-
-
-# What a field of each annotated type takes, and how a message names it
-_FIELD_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
-    "bool": (lambda v: type(v) is bool, "a boolean"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "frozenset": (lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings"),
-}
-
-
-def _build_section(cls, doc: dict, section: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config section '{section}' must be a JSON object, got {_json_kind(doc)}")
-    types = {f.name: f.type for f in dataclass_fields(cls)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise ConfigError(f"config section '{section}': unknown field(s) {sorted(unknown)}")
-    for name, value in doc.items():
-        accepts, expected = _FIELD_TYPES[types[name]]
-        if not accepts(value):
-            raise ConfigError(
-                f"config section '{section}': field '{name}' must be {expected}, "
-                f"got {_json_kind(value)} {json.dumps(value)}"
-            )
+def _record(cls, doc, where: str):
+    """``read_record``, with its errors as usage errors."""
     try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section '{section}': {exc}") from None
+        return read_record(cls, doc, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_run_config(path, overrides) -> RunConfig:
@@ -142,10 +114,10 @@ def load_run_config(path, overrides) -> RunConfig:
     return RunConfig(
         dataset=str(dataset) if dataset is not None else None,
         output_dir=str(output_dir) if output_dir is not None else None,
-        model=_build_section(ModelConfig, doc.get("model", {}), "model"),
-        schedule=_build_section(TrainSchedule, doc.get("train", {}), "train"),
-        ensemble=_build_section(EnsembleSpec, doc.get("ensemble", {}), "ensemble"),
-        split=_build_section(data.SplitSpec, doc.get("split", {}), "split"),
+        model=_record(ModelConfig, doc.get("model", {}), "config section 'model'"),
+        schedule=_record(TrainSchedule, doc.get("train", {}), "config section 'train'"),
+        ensemble=_record(EnsembleSpec, doc.get("ensemble", {}), "config section 'ensemble'"),
+        split=_record(data.SplitSpec, doc.get("split", {}), "config section 'split'"),
     )
 
 
@@ -153,28 +125,18 @@ def load_run_config(path, overrides) -> RunConfig:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _write_json(path, doc: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _meta(cfg_hash: str, master_seed, **extra) -> dict:
-    return {"config_hash": cfg_hash, "master_seed": master_seed, "created_at": _now(), **extra}
+    return {"config_hash": cfg_hash, "master_seed": master_seed, "created_at": utc_now(), **extra}
 
 
-def _open_csv(path, cfg_hash: str, master_seed) -> tuple:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="")
-    fh.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
-    return fh, csv.writer(fh)
+def _write_csv(path, cfg_hash: str, master_seed, header, rows) -> None:
+    """Write a table: a provenance comment line, ``header``, then ``rows``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _require_dataset(cfg: RunConfig) -> Path:
@@ -224,7 +186,8 @@ def _open_pool(args, series_ids):
     if not Path(dataset).exists():
         raise ConfigError(f"dataset file not found: {dataset}")
     series_list = _load_series(dataset, pool.config, drop_short=False, series_ids=series_ids)
-    base_spec = _build_section(EnsembleSpec, pool.run.get("ensemble", {}), "ensemble")
+    base_spec = _record(EnsembleSpec, pool.run.get("ensemble", {}),
+                        f"{manifest}: config section 'ensemble'")
     return pool, dataset, series_list, _ensemble_from_args(base_spec, args)
 
 
@@ -253,7 +216,7 @@ def cmd_synth(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "json" or (args.format == "auto" and out.suffix.lower() == ".json"):
+    if out.suffix.lower() == ".json":
         data.write_dataset_json(series, out)
     else:
         data.write_dataset_csv(series, out)
@@ -345,13 +308,12 @@ def cmd_forecast(args) -> int:
             contribs[start : start + len(y_hat)] = np.swapaxes(decompose(forward), 0, 1)
     aggregated = aggregate_forecasts(matrix, drawn[None], spec.aggregation)[0]
 
-    fh, writer = _open_csv(args.out, pool.config_hash, pool.schedule.seed)
-    with fh:
-        writer.writerow(["series_id", "year", "month", "forecast"])
-        for s, idx, row in zip(targets, anchors, aggregated):
-            for j, value in enumerate(row, start=1):
-                year, month = s.month_at(idx + j)
-                writer.writerow([s.id, year, month, repr(float(value))])
+    _write_csv(
+        args.out, pool.config_hash, pool.schedule.seed, ["series_id", "year", "month", "forecast"],
+        ([s.id, *s.month_at(idx + j), repr(float(value))]
+         for s, idx, row in zip(targets, anchors, aggregated)
+         for j, value in enumerate(row, start=1)),
+    )
     print(f"wrote forecasts for {len(targets)} series to {args.out}")
 
     if args.decomposition:
@@ -369,7 +331,7 @@ def cmd_forecast(args) -> int:
                 "blocks": blocks,
                 "forecast": mean_contrib[:, k].sum(axis=0).tolist(),
             }
-        _write_json(
+        write_json(
             args.decomposition,
             {
                 "meta": _meta(pool.config_hash, pool.schedule.seed, aggregation="mean"),
@@ -410,10 +372,9 @@ def cmd_evaluate(args) -> int:
     baseline = _baseline_report(series_list, starts, y)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash, master_seed = pool.config_hash, pool.schedule.seed
 
-    _write_json(
+    write_json(
         out_dir / "metrics.json",
         {
             "meta": _meta(cfg_hash, master_seed, dataset=str(dataset), split=args.split,
@@ -423,25 +384,25 @@ def cmd_evaluate(args) -> int:
         },
     )
 
-    fh, writer = _open_csv(out_dir / "per_series.csv", cfg_hash, master_seed)
-    with fh:
-        writer.writerow(["model", "series_id", *SERIES_METRICS])
-        for sid, metrics in report.per_series_averaged.items():
-            writer.writerow([args.label, sid] + [repr(metrics[name]) for name in SERIES_METRICS])
-
-    errors_fh, errors = _open_csv(out_dir / "errors.csv", cfg_hash, master_seed)
-    pe_fh, pes = _open_csv(out_dir / "mpe_points.csv", cfg_hash, master_seed)
-    with errors_fh, pe_fh:
-        errors.writerow(["series_id", "year", "month", "actual", "forecast", "error"])
-        pes.writerow(["series_id", "year", "month", "pe"])
-        all_pe = point_errors(y, report.mean_forecast)
-        for s, start, target, forecast, pe in zip(series_list, starts, y, report.mean_forecast,
-                                                  all_pe):
-            for j, (actual, predicted) in enumerate(zip(target, forecast)):
-                year, month = s.month_at(start + j)
-                errors.writerow([s.id, year, month, repr(float(actual)), repr(float(predicted)),
-                                 repr(float(actual - predicted))])
-                pes.writerow([s.id, year, month, repr(float(pe[j]))])
+    _write_csv(
+        out_dir / "per_series.csv", cfg_hash, master_seed, ["model", "series_id", *SERIES_METRICS],
+        ([args.label, sid] + [repr(metrics[name]) for name in SERIES_METRICS]
+         for sid, metrics in report.per_series_averaged.items()),
+    )
+    # the (series id, year, month) of each point of y, in row-major order
+    keys = [(s.id, *s.month_at(start + j))
+            for s, start in zip(series_list, starts) for j in range(y.shape[1])]
+    forecast = report.mean_forecast
+    _write_csv(
+        out_dir / "errors.csv", cfg_hash, master_seed,
+        ["series_id", "year", "month", "actual", "forecast", "error"],
+        ([*key, repr(float(actual)), repr(float(predicted)), repr(float(actual - predicted))]
+         for key, actual, predicted in zip(keys, y.ravel(), forecast.ravel())),
+    )
+    _write_csv(
+        out_dir / "mpe_points.csv", cfg_hash, master_seed, ["series_id", "year", "month", "pe"],
+        ([*key, repr(float(pe))] for key, pe in zip(keys, point_errors(y, forecast).ravel())),
+    )
 
     agg = report.averaged
     print(
@@ -493,12 +454,11 @@ def cmd_ablate(args) -> int:
         print(f"{variant:8s} MAPE {report.averaged['mape']:.3f}  RMSE {report.averaged['rmse']:.3f}")
 
     base_hash = config_hash(cfg.model)
-    fh, writer = _open_csv(out_dir / "ablation_table.csv", base_hash, cfg.schedule.seed)
-    with fh:
-        writer.writerow(["variant", "mape", "rmse"])
-        for variant, mape, rmse in rows:
-            writer.writerow([variant, repr(mape), repr(rmse)])
-    _write_json(
+    _write_csv(
+        out_dir / "ablation_table.csv", base_hash, cfg.schedule.seed, ["variant", "mape", "rmse"],
+        ([variant, repr(mape), repr(rmse)] for variant, mape, rmse in rows),
+    )
+    write_json(
         out_dir / "ablation.json",
         {"meta": _meta(base_hash, cfg.schedule.seed, dataset=cfg.dataset), "variants": details},
     )
@@ -577,28 +537,26 @@ def cmd_dm_test(args) -> int:
         )
     if args.out:
         meta = {
-            "created_at": _now(),
+            "created_at": utc_now(),
             "errors_a": {"path": str(args.errors_a), "provenance": provenance_a},
             "errors_b": {"path": str(args.errors_b), "provenance": provenance_b},
         }
-        _write_json(Path(args.out), {"meta": meta, "result": doc})
+        write_json(args.out, {"meta": meta, "result": doc})
     return 0
 
 
 def _grid_target(field: str):
-    model_fields = {f.name for f in dataclass_fields(ModelConfig)}
-    schedule_fields = {f.name for f in dataclass_fields(TrainSchedule)}
-    name = field.split(".", 1)[1] if "." in field else field
-    section = field.split(".", 1)[0] if "." in field else None
-    if section == "model" or (section is None and name in model_fields):
-        if name not in model_fields:
-            raise ConfigError(f"grid field '{field}' is not a model hyperparameter")
-        return "model", name
-    if section == "train" or (section is None and name in schedule_fields):
-        if name not in schedule_fields:
-            raise ConfigError(f"grid field '{field}' is not a schedule hyperparameter")
-        return "train", name
-    raise ConfigError(f"grid field '{field}' is not a model or schedule hyperparameter")
+    """The (section, name) that the grid field ``model.NAME``, ``train.NAME`` or
+    ``NAME`` sets; a bare NAME must be a field of exactly one of the two."""
+    section, _, name = field.rpartition(".")
+    sections = [key for key, cls in (("model", ModelConfig), ("train", TrainSchedule))
+                if section in ("", key) and name in {f.name for f in dataclass_fields(cls)}]
+    if len(sections) > 1:
+        raise ConfigError(f"grid field '{field}' names both model.{name} and train.{name}; "
+                          "write one of them")
+    if not sections:
+        raise ConfigError(f"grid field '{field}' is not a model or schedule hyperparameter")
+    return sections[0], name
 
 
 def cmd_sweep(args) -> int:
@@ -630,12 +588,11 @@ def cmd_sweep(args) -> int:
         for name, value in zip(field_names, combo):
             (section, attr), _ = targets[name]
             (model_updates if section == "model" else schedule_updates)[attr] = value
-        try:
-            model_cfg = _build_section(ModelConfig, {**cfg.model.to_dict(), **model_updates}, "model")
-            schedule = _build_section(TrainSchedule, {**asdict(cfg.schedule), **schedule_updates},
-                                      "train")
-        except ConfigError as exc:
-            raise ConfigError(f"grid combination {dict(zip(field_names, combo))}: {exc}") from None
+        where = f"grid combination {dict(zip(field_names, combo))}: config section"
+        model_cfg = _record(ModelConfig, {**cfg.model.to_dict(), **model_updates},
+                            f"{where} 'model'")
+        schedule = _record(TrainSchedule, {**asdict(cfg.schedule), **schedule_updates},
+                           f"{where} 'train'")
         _, report = _train_and_score(series, cfg, model_cfg, schedule, "val", args.workers)
         row = {name: value for name, value in zip(field_names, combo)}
         row.update(
@@ -651,16 +608,15 @@ def cmd_sweep(args) -> int:
     best = min(rows, key=lambda r: r["val_mape"])
     out_dir = Path(args.out_dir or cfg.output_dir or "sweep")
     base_hash = config_hash(cfg.model)
-    fh, writer = _open_csv(out_dir / "sweep.csv", base_hash, cfg.schedule.seed)
-    with fh:
-        writer.writerow(field_names + ["val_mape", "val_medape", "val_rmse", "config_hash"])
-        for row in rows:
-            writer.writerow(
-                [row[name] for name in field_names]
-                + [repr(row["val_mape"]), repr(row["val_medape"]), repr(row["val_rmse"]),
-                   row["config_hash"]]
-            )
-    _write_json(
+    _write_csv(
+        out_dir / "sweep.csv", base_hash, cfg.schedule.seed,
+        field_names + ["val_mape", "val_medape", "val_rmse", "config_hash"],
+        ([row[name] for name in field_names]
+         + [repr(row["val_mape"]), repr(row["val_medape"]), repr(row["val_rmse"]),
+            row["config_hash"]]
+         for row in rows),
+    )
+    write_json(
         out_dir / "sweep.json",
         {
             "meta": _meta(base_hash, cfg.schedule.seed, dataset=cfg.dataset),
@@ -708,7 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trend", type=float, default=0.02)
     sub.add_argument("--noise", type=float, default=0.01)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=["auto", "csv", "json"], default="auto")
     sub.set_defaults(func=cmd_synth)
 
     sub = commands.add_parser("train", help="train a model pool and write its manifest")

@@ -10,7 +10,7 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -63,7 +63,7 @@ class TrainedMember:
     Its parameters are its row of the pool's members array (``Pool.member_params``)."""
 
     seed: int
-    final_loss: float
+    final_loss: float | None  # None where the manifest records no loss
     loss_trace: list
 
 
@@ -273,19 +273,62 @@ def pool_manifest(pool: Pool) -> dict:
     return doc
 
 
-def write_manifest(pool: Pool, path) -> None:
-    doc = pool_manifest(pool)
-    doc["created_at"] = datetime.now(timezone.utc).isoformat()
+def utc_now() -> str:
+    """The current UTC time in ISO 8601: the ``created_at`` of every output."""
+    return datetime.now(timezone.utc).isoformat()
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys, creating its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_pool(manifest_path) -> Pool:
-    """Reconstruct a pool from its manifest, which must list each member
-    0..pool_size-1 exactly once; member parameters stay in the memory-mapped
-    members file until ``Pool.member_params`` reads them."""
-    manifest_path = Path(manifest_path)
+def write_manifest(pool: Pool, path) -> None:
+    write_json(path, {**pool_manifest(pool), "created_at": utc_now()})
+
+
+def _json_kind(value) -> str:
+    return {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}.get(
+        type(value), "number")
+
+
+# What a field of each annotated type takes, and how a message names it
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "a boolean"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "frozenset": (lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings"),
+}
+
+
+def read_record(cls, doc, where: str):
+    """The config record ``cls`` built from the JSON object ``doc``; a ValueError
+    starting with ``where`` unless each field is ``cls``'s and of its JSON type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {_json_kind(doc)}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
+    for name, value in doc.items():
+        accepts, expected = _FIELD_TYPES[types[name]]
+        if not accepts(value):
+            raise ValueError(f"{where}: field '{name}' must be {expected}, "
+                             f"got {_json_kind(value)} {json.dumps(value)}")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _read_manifest(manifest_path) -> tuple[Pool, Path]:
+    """The pool the manifest at ``manifest_path`` describes, before its members
+    file (the second value) is opened: ``rows`` None, and ``members[i]`` None
+    where no entry lists member ``i``. A ValueError naming the manifest if malformed."""
     with open(manifest_path) as fh:
         try:
             doc = json.load(fh)
@@ -298,44 +341,56 @@ def load_pool(manifest_path) -> Pool:
             f"{manifest_path}: pool format version {doc.get('version')} is not read by this "
             f"version of loadcast (format {FORMAT_VERSION}); the pool must be retrained"
         )
+    where = f"{manifest_path}: section"
     try:
-        config = ModelConfig(**doc["config"])
-        schedule = TrainSchedule(**doc["schedule"])
-        split_spec = SplitSpec(**doc["split"])
-        size = schedule.pool_size
-        members_path = manifest_path.parent / doc["members_file"]
+        config = read_record(ModelConfig, doc["config"], f"{where} 'config'")
+        schedule = read_record(TrainSchedule, doc["schedule"], f"{where} 'schedule'")
+        split_spec = read_record(SplitSpec, doc["split"], f"{where} 'split'")
+        members_path = Path(manifest_path).parent / doc["members_file"]
         entries, run, recorded_hash = doc["members"], doc.get("run", {}), doc["config_hash"]
         if not isinstance(entries, list) or not isinstance(run, dict):
             raise TypeError("'members' must be an array and 'run' an object")
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: manifest has no field {exc}") from None
-    except (TypeError, ValueError) as exc:  # a field of the wrong type or value
+    except TypeError as exc:  # a field of the wrong type
         raise ValueError(f"{manifest_path}: malformed manifest: {exc}") from None
-    if config_hash(config) != recorded_hash:
+    size = schedule.pool_size
+    pool = Pool(config, schedule, split_spec, [None] * size, None, run)
+    if pool.config_hash != recorded_hash:
         raise ValueError(f"{manifest_path}: config hash mismatch; manifest is corrupt")
-    rows = open_members(members_path, config, size)
-    members: list[TrainedMember | None] = [None] * size
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             problem = "is not an object"
         elif "seed" not in entry:
             problem = "has no seed"
+        elif (type(entry["seed"]) is not int
+              or type(entry.get("final_loss", 0.0)) not in (int, float)):
+            problem = "has a seed that is not an integer or a final_loss that is not a number"
         elif type(index := entry.get("index")) is not int or not 0 <= index < size:
             problem = f"has index {index!r}, outside 0..{size - 1}"
-        elif members[index] is not None:
+        elif pool.members[index] is not None:
             problem = f"repeats member {index}"
         else:
-            final_loss = entry.get("final_loss", float("nan"))
-            members[index] = TrainedMember(entry["seed"], final_loss, [])
+            pool.members[index] = TrainedMember(entry["seed"], entry.get("final_loss"), [])
             continue
         raise ValueError(f"{manifest_path}: member entry {k} {problem}; the manifest is corrupt")
-    missing = [i for i, member in enumerate(members) if member is None]
+    return pool, members_path
+
+
+def load_pool(manifest_path) -> Pool:
+    """Reconstruct a pool from its manifest, which must list each member
+    0..pool_size-1 exactly once; member parameters stay in the memory-mapped
+    members file until ``Pool.member_params`` reads them."""
+    pool, members_path = _read_manifest(manifest_path)
+    size = pool.schedule.pool_size
+    pool.rows = open_members(members_path, pool.config, size)
+    missing = [i for i, member in enumerate(pool.members) if member is None]
     if missing:
         raise ValueError(
             f"{manifest_path}: no entry for member(s) {missing} of a pool of {size}, as an "
             "interrupted train leaves it; rerun train into the same directory to finish the pool"
         )
-    return Pool(config, schedule, split_spec, members, rows, run)
+    return pool
 
 
 def build_pool(
@@ -368,16 +423,12 @@ def build_pool(
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         store = out_path / MEMBERS_FILE
-        recorded = {}  # (index, seed) -> final_loss, from a prior manifest of this format
-        manifest_file = out_path / "manifest.json"
-        if manifest_file.exists():
-            try:
-                prior = json.loads(manifest_file.read_text())
-                current = prior.get("version") == FORMAT_VERSION
-                if current and prior.get("config_hash") == expected_hash:
-                    recorded = {(e["index"], e["seed"]): e["final_loss"] for e in prior["members"]}
-            except (json.JSONDecodeError, KeyError, TypeError):
-                recorded = {}
+        try:
+            prior, _ = _read_manifest(out_path / "manifest.json")
+        except (FileNotFoundError, ValueError):  # none, or one load_pool calls corrupt
+            prior = None
+        # the members a prior manifest of this config lists
+        recorded = prior.members if prior is not None and prior.config_hash == expected_hash else []
         try:
             rows = open_members(store, config, schedule.pool_size)
         except (OSError, ValueError):
@@ -385,15 +436,13 @@ def build_pool(
             # layout: start it afresh, and every member with it
             open_memmap(store, mode="w+", dtype=member_dtype(config), shape=(schedule.pool_size,))
             rows = open_members(store, config, schedule.pool_size)
-        for i, seed in enumerate(seeds):
+        for i, (seed, kept) in enumerate(zip(seeds, recorded)):
             # a row whose loss the manifest does not record (a crash before
             # the manifest write) is retrained, so no member's loss is unknown
-            if (
-                recorded.get((i, seed)) is not None
-                and rows[i]["config_hash"] == expected_hash.encode()
-                and rows[i]["seed"] == seed
-            ):
-                members[i] = TrainedMember(seed, recorded[(i, seed)], [])
+            row = rows[i]
+            if (kept and kept.seed == seed and kept.final_loss is not None
+                    and row["seed"] == seed and row["config_hash"] == expected_hash.encode()):
+                members[i] = kept
 
     pending = [i for i in range(schedule.pool_size) if members[i] is None]
     jobs = [(series_list, config, schedule, split_spec, seeds[i]) for i in pending]

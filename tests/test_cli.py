@@ -219,6 +219,22 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def test_manifest_ensemble_field_error_names_the_manifest(tmp_path, workspace, capsys):
+    import shutil
+
+    pool_dir = tmp_path / "pool"
+    shutil.copytree(workspace["root"] / "pool", pool_dir)
+    manifest = pool_dir / "manifest.json"
+    _edit_json(manifest, lambda doc: doc["run"]["ensemble"].update(trials=2.5))
+    out = tmp_path / "f.csv"
+    assert run_cli("forecast", "--manifest", manifest, "--series", "S00", "--out", out) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {manifest}: config section 'ensemble': "
+        "field 'trials' must be an integer, got number 2.5"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutate", [
     lambda path: path.write_text(path.read_text().replace('"', "'", 1)),
     lambda path: path.write_text(json.dumps([json.loads(path.read_text())])),
@@ -228,8 +244,14 @@ def _edit_json(path, edit):
     lambda path: _edit_json(path, lambda doc: doc["config"].update(bogus=1)),
     lambda path: _edit_json(path, lambda doc: doc["schedule"].update(epochs="x")),
     lambda path: _edit_json(path, lambda doc: doc.update(members_file=3)),
+    lambda path: _edit_json(path, lambda doc: doc["schedule"].update(seed=1.5)),
+    lambda path: _edit_json(path, lambda doc: doc["schedule"].update(pool_size="2")),
+    lambda path: _edit_json(path, lambda doc: doc["split"].update(test_months=True)),
+    lambda path: _edit_json(path, lambda doc: doc["members"][1].update(seed="1")),
+    lambda path: _edit_json(path, lambda doc: doc["members"][0].update(final_loss="0.5")),
 ], ids=["invalid-json", "top-level-list", "run-list", "member-not-object", "config-list",
-        "config-unknown-field", "epochs-string", "members-file-number"])
+        "config-unknown-field", "epochs-string", "members-file-number", "seed-fraction",
+        "pool-size-string", "test-months-boolean", "member-seed-string", "final-loss-string"])
 def test_malformed_manifest_fails_naming_the_manifest(tmp_path, workspace, capsys, mutate):
     import shutil
 
@@ -751,7 +773,9 @@ def test_sweep_single_combination(tmp_path, workspace):
                           "field 'lookback' must be an integer, got string \"6\""),
     ({"model.ablation": ["noReLU"]}, "grid combination {'model.ablation': 'noReLU'}: config "
      "section 'model': field 'ablation' must be a list of strings, got string \"noReLU\""),
-], ids=["unknown-field", "not-a-list", "bool-string", "int-string", "ablation-string"])
+    ({"seed": [0, 1]}, "grid field 'seed' names both model.seed and train.seed"),
+], ids=["unknown-field", "not-a-list", "bool-string", "int-string", "ablation-string",
+        "seed-in-both-sections"])
 def test_sweep_malformed_grid_names_field(tmp_path, workspace, capsys, grid, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(grid))

@@ -274,6 +274,29 @@ def test_truncated_manifest_resume_matches_clean_build(tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("edit, retrained", [
+    (lambda doc: doc["members"].append(dict(doc["members"][0])), [0, 1]),
+    (lambda doc: doc["schedule"].update(seed=1.5), [0, 1]),
+    (lambda doc: doc["members"][0].update(final_loss="0.5"), [0, 1]),
+    (lambda doc: doc["members"][1].pop("final_loss"), [1]),
+], ids=["repeated-index", "schedule-seed-fraction", "final-loss-string", "no-final-loss"])
+def test_resume_reads_the_manifest_as_load_pool_does(tmp_path, monkeypatch, edit, retrained):
+    # a manifest load_pool calls corrupt keeps no member; a sound one keeps
+    # every member it records a loss for
+    series = tiny_dataset()
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    written = record_row_writes(monkeypatch)
+    build_pool(series, tiny_config(), TINY_SCHEDULE, split_spec=TINY_SPLIT, workers=1,
+               out_dir=tmp_path)
+    assert written == retrained
+    assert params_of(load_pool(manifest), 1)
+
+
 def test_manifest_written_once_per_trained_member(tmp_path, monkeypatch):
     writes = []
     original = train_mod.write_manifest
