@@ -10,8 +10,9 @@ script. It prints the figures of each ``*.py`` file below it, then their sums:
   (docstrings count);
 - physical: every line;
 - settable: parameters with a default (positional and keyword-only, of
-  functions, methods and lambdas), plus fields with a default in ``@dataclass``
-  and ``NamedTuple`` classes.
+  functions, methods and lambdas), fields with a default in ``@dataclass``
+  and ``NamedTuple`` classes, and command-line options (each ``add_argument``
+  call).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def settable_values(tree: ast.AST) -> int:
         elif isinstance(node, ast.ClassDef) and _is_record_class(node):
             count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                          for stmt in node.body)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            count += 1
     return count
 
 
