@@ -32,7 +32,9 @@ from .evaluation import (
     point_errors,
 )
 from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose
-from .train import TrainSchedule, build_pool, load_pool, read_record, utc_now, write_json
+from .train import (
+    TrainSchedule, build_pool, load_pool, open_replacing, read_record, utc_now, write_json,
+)
 
 SPLIT_REGIONS = ("test", "val")
 
@@ -130,9 +132,9 @@ def _meta(cfg_hash: str, master_seed, **extra) -> dict:
 
 
 def _write_csv(path, cfg_hash: str, master_seed, header, rows) -> None:
-    """Write a table: a provenance comment line, ``header``, then ``rows``."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    """Write a table: a provenance comment line, ``header``, then ``rows``; the
+    file is replaced whole (``open_replacing``)."""
+    with open_replacing(path, "") as fh:
         fh.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -649,14 +651,7 @@ def _add_ensemble_args(sub):
     sub.add_argument("--ensemble-seed", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loadcast",
-        description="Mid-term load forecasting: train, forecast, evaluate, compare.",
-    )
-    commands = parser.add_subparsers(dest="command")
-
-    sub = commands.add_parser("synth", help="generate the synthetic benchmark dataset")
+def _synth_args(sub):
     sub.add_argument("--out", required=True)
     sub.add_argument("--series", type=int, default=8)
     sub.add_argument("--months", type=int, default=60)
@@ -664,14 +659,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trend", type=float, default=0.02)
     sub.add_argument("--noise", type=float, default=0.01)
     sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=cmd_synth)
 
-    sub = commands.add_parser("train", help="train a model pool and write its manifest")
+
+def _train_args(sub):
     _add_config_args(sub)
     sub.add_argument("--dry-run", action="store_true", help="validate and echo the config only")
-    sub.set_defaults(func=cmd_train)
 
-    sub = commands.add_parser("forecast", help="forecast series from a trained pool")
+
+def _forecast_args(sub):
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--dataset", default=None, help="defaults to the dataset in the manifest")
     sub.add_argument("--series", default="all", help="comma-separated ids, or 'all'")
@@ -681,42 +676,81 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--decomposition", default=None, help="optional per-block JSON path")
     sub.add_argument("--trial-index", type=int, default=0)
     _add_ensemble_args(sub)
-    sub.set_defaults(func=cmd_forecast)
 
-    sub = commands.add_parser("evaluate", help="score a trained pool on the held-out split")
+
+def _evaluate_args(sub):
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--dataset", default=None)
     sub.add_argument("--split", choices=list(SPLIT_REGIONS), default="test")
     sub.add_argument("--out-dir", required=True)
     sub.add_argument("--label", default="ensemble", help="model column in per_series.csv")
     _add_ensemble_args(sub)
-    sub.set_defaults(func=cmd_evaluate)
 
-    sub = commands.add_parser("ablate", help="train + evaluate the full model and each reduced variant")
+
+def _ablate_args(sub):
     _add_config_args(sub)
     sub.add_argument("--out-dir", default=None)
-    sub.set_defaults(func=cmd_ablate)
 
-    sub = commands.add_parser("dm-test", help="Diebold-Mariano equal-accuracy test on two error files")
+
+def _dm_test_args(sub):
     sub.add_argument("--errors-a", required=True)
     sub.add_argument("--errors-b", required=True)
     sub.add_argument("--loss", choices=["absolute", "squared"], default="absolute")
     sub.add_argument("--horizon", type=int, default=12, help="h-step correction (lag window h-1)")
     sub.add_argument("--alpha", type=float, default=0.01)
     sub.add_argument("--out", default=None, help="optional JSON result path")
-    sub.set_defaults(func=cmd_dm_test)
 
-    sub = commands.add_parser("sweep", help="grid-search hyperparameters on the validation split")
+
+def _sweep_args(sub):
     _add_config_args(sub)
     sub.add_argument("--grid", required=True, help="JSON file: field -> list of values")
     sub.add_argument("--out-dir", default=None)
-    sub.set_defaults(func=cmd_sweep)
 
+
+# each command's help text, the function that adds its arguments, and its handler
+COMMANDS = {
+    "synth": ("generate the synthetic benchmark dataset", _synth_args, cmd_synth),
+    "train": ("train a model pool and write its manifest", _train_args, cmd_train),
+    "forecast": ("forecast series from a trained pool", _forecast_args, cmd_forecast),
+    "evaluate": ("score a trained pool on the held-out split", _evaluate_args, cmd_evaluate),
+    "ablate": ("train + evaluate the full model and each reduced variant", _ablate_args,
+               cmd_ablate),
+    "dm-test": ("Diebold-Mariano equal-accuracy test on two error files", _dm_test_args,
+                cmd_dm_test),
+    "sweep": ("grid-search hyperparameters on the validation split", _sweep_args, cmd_sweep),
+}
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of the commands ``names``."""
+    parser = argparse.ArgumentParser(
+        prog="loadcast",
+        description="Mid-term load forecasting: train, forecast, evaluate, compare.",
+    )
+    commands = parser.add_subparsers(dest="command")
+    if len(names) < len(COMMANDS):
+        # the usage line of an error the top-level parser reports, such as
+        # unrecognized arguments, names every command whichever it holds
+        commands.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in names:
+        help_text, add_args, handler = COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        add_args(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    return _parser(list(COMMANDS))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's run needs its own parser only; anything else (no arguments,
+    # -h, an unknown word) gets every command's, for the top-level help and
+    # the "invalid choice" error
+    parser = _parser(argv[:1]) if argv and argv[0] in COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

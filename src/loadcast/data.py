@@ -66,14 +66,32 @@ class TimeSeries:
         return index_to_month(month_index(*self.start) + index)
 
 
-def _kept_records(fh, keep) -> tuple[Iterator[list[str]], Iterator[int]]:
+class _SearchedRow:
+    """The row number of the line that starts after ``text[offset]``, a
+    newline. It is counted only when a message names it; rows order as their
+    offsets do, which is file order."""
+
+    __slots__ = ("text", "offset")
+
+    def __init__(self, text: str, offset: int):
+        self.text, self.offset = text, offset
+
+    def __lt__(self, other: _SearchedRow) -> bool:
+        return self.offset < other.offset
+
+    def __str__(self) -> str:
+        return str(self.text.count("\n", 0, self.offset) + 2)
+
+
+def _kept_records(fh, keep) -> tuple[Iterator[list[str]], Iterator]:
     """A reader of the records left in ``fh``, a CSV file read past its header,
     that may belong to the ``keep`` ids, and an iterator of their row numbers.
 
     Text with no quote, no NUL and no lone CR holds one record per line. Then
     one regular-expression pass over the text finds the lines whose stripped
     first field is a kept id, and only those are split, in file order; every
-    other line is skipped unsplit. Other text goes through the full reader,
+    other line is skipped unsplit, and a kept line's row number is counted
+    only if a message names it. Other text goes through the full reader,
     which yields every record.
     """
     text = fh.read()
@@ -87,18 +105,14 @@ def _kept_records(fh, keep) -> tuple[Iterator[list[str]], Iterator[int]]:
     text = "\n" + text  # every line then starts after a "\n"
     # an id holding a newline matches no record, and would run into the next line
     ids = "|".join(re.escape(sid) for sid in map(str, keep) if "\n" not in sid)
-    lines, rownos, rowno, counted = [], [], 2, 0
-    for hit in re.finditer(rf"\n([^\S\n]*(?:{ids})[^\S\n]*(?:,[^\n]*)?)(?=\n|\Z)", text):
-        rowno += text.count("\n", counted, hit.start())
-        counted = hit.start()
-        rownos.append(rowno)
-        lines.append(hit[1])
-    return csv.reader(lines), iter(rownos)
+    hits = list(re.finditer(rf"\n([^\S\n]*(?:{ids})[^\S\n]*(?:,[^\n]*)?)(?=\n|\Z)", text))
+    return csv.reader([hit[1] for hit in hits]), (_SearchedRow(text, hit.start()) for hit in hits)
 
 
-def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple[int, float, int]]]:
-    """Each kept series' (month index, value, row number) triples."""
-    per_id: dict[str, list[tuple[int, float, int]]] = {}
+def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple]]:
+    """Each kept series' (month index, value, row number) triples; a searched
+    line's row number is a ``_SearchedRow``, which reads as the number."""
+    per_id: dict[str, list[tuple]] = {}
     with open(path, newline="") as fh:
         # the reader is zipped ahead of the row numbers, so when it fails on a
         # record, that record's number is the next one left

@@ -10,6 +10,8 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -278,10 +280,31 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@contextmanager
+def open_replacing(path, newline):
+    """A text file that replaces ``path`` whole when the block ends.
+
+    The block writes a temporary file in ``path``'s directory, which is
+    created first; ``os.replace`` then moves it over ``path``. If the block
+    raises, the temporary file is removed and ``path`` is left as it was. A
+    plain ``open`` creates the file, so it gets the mode a direct write gives.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, doc: dict) -> None:
-    """Write ``doc`` as indented JSON with sorted keys, creating its directory."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    """Write ``doc`` as indented JSON with sorted keys, creating its directory;
+    the file is replaced whole (``open_replacing``)."""
+    with open_replacing(path, None) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

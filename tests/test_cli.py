@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import loadcast
+from loadcast import cli
 from loadcast.cli import main
 from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
 from loadcast.model import ModelConfig, model_forward
@@ -807,3 +809,52 @@ def test_unknown_command_exits_2():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# each command alone, with a required option missing; then a bad value of an
+# option with choices, or of an integer option where the command has none
+PARSE_ERRORS = {
+    "synth": ["--series", "x"],
+    "train": ["--config", "c.json", "--workers", "x"],
+    "forecast": ["--manifest", "m.json", "--out", "f.csv", "--aggregation", "mode"],
+    "evaluate": ["--manifest", "m.json", "--out-dir", "o", "--split", "train"],
+    "ablate": ["--config", "c.json", "--workers", "x"],
+    "dm-test": ["--errors-a", "a.csv", "--errors-b", "b.csv", "--loss", "huber"],
+    "sweep": ["--config", "c.json", "--grid", "g.json", "--workers", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["transmogrify"], ["--bogus"],
+    *([command, "--help"] for command in PARSE_ERRORS),
+    *([command] for command in PARSE_ERRORS),
+    *([command, *flags] for command, flags in PARSE_ERRORS.items()),
+    ["forecast", "--manifest", "m.json", "--out", "f.csv", "stray"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_all_commands_parser(argv, monkeypatch, capsys):
+    """``main`` builds only the parser of the command it runs; its help, usage
+    errors and exit codes are those of the parser of every command."""
+    got = main(argv), *capsys.readouterr()
+    every = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda names: every(list(cli.COMMANDS)))
+    want = main(argv), *capsys.readouterr()
+    assert got == want
+    assert got[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+    assert got[1] or got[2]
+
+
+def test_forecast_builds_one_command_parser(tmp_path, workspace, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "S01",
+                   "--out", tmp_path / "f.csv") == 0
+    assert built == ["forecast"]
+    built.clear()
+    assert main(["--help"]) == 0
+    assert built == list(cli.COMMANDS)

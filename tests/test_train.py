@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from numpy.lib.format import open_memmap
 
 import loadcast.train as train_mod
+from loadcast.cli import _write_csv
 from loadcast.data import DatasetError, SplitSpec, TimeSeries
 from loadcast.model import config_hash, init_params, model_forward
 from loadcast.train import (
@@ -21,6 +24,7 @@ from loadcast.train import (
     pool_manifest,
     save_checkpoint,
     train_one,
+    write_json,
 )
 
 from helpers import params_of, sinusoid_trend_series, tiny_config
@@ -411,3 +415,43 @@ def test_no_l2_trace_has_zero_l2_component():
     assert all(entry["nmse_term"] == 0.0 for entry in member.loss_trace)
     full = train_one(series, tiny_config(), TINY_SCHEDULE, 11, split_spec=TINY_SPLIT)
     assert any(entry["nmse_term"] > 0.0 for entry in full.loss_trace)
+
+
+def _csv_writer(rows):
+    return lambda path: _write_csv(path, "hash", 0, ["a", "b"], rows())
+
+
+def _raising_rows():
+    yield ["1", "2"]
+    raise RuntimeError("row generator failed")
+
+
+WRITERS = {
+    # (a writer of a complete file, a writer that raises after writing a part)
+    "json": (lambda path: write_json(path, {"a": 1}),
+             lambda path: write_json(path, {"a": 2, "b": object()})),
+    "csv": (_csv_writer(lambda: [["3", "4"]]), _csv_writer(_raising_rows)),
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_a_failed_write_leaves_the_previous_file_and_no_temporary_file(tmp_path, kind):
+    write, fail = WRITERS[kind]
+    path = tmp_path / "out" / f"table.{kind}"
+    write(path)
+    before = path.read_bytes()
+    with pytest.raises((TypeError, RuntimeError)):
+        fail(path)
+    assert path.read_bytes() == before
+    assert os.listdir(path.parent) == [path.name]
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_a_replaced_file_has_the_mode_of_a_direct_write(tmp_path, kind):
+    write, _ = WRITERS[kind]
+    with open(tmp_path / "direct", "w"):
+        pass
+    write(tmp_path / "written")
+    assert sorted(os.listdir(tmp_path)) == ["direct", "written"]
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("direct", "written")]
+    assert modes[0] == modes[1]
