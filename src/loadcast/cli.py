@@ -721,7 +721,7 @@ COMMANDS = {
 }
 
 
-def _parser(names) -> argparse.ArgumentParser:
+def build_parser(names) -> argparse.ArgumentParser:
     """The top-level parser with the subparsers of the commands ``names``."""
     parser = argparse.ArgumentParser(
         prog="loadcast",
@@ -740,17 +740,12 @@ def _parser(names) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command."""
-    return _parser(list(COMMANDS))
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command's run needs its own parser only; anything else (no arguments,
     # -h, an unknown word) gets every command's, for the top-level help and
     # the "invalid choice" error
-    parser = _parser(argv[:1]) if argv and argv[0] in COMMANDS else build_parser()
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

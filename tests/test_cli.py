@@ -835,8 +835,8 @@ def test_main_parses_as_the_all_commands_parser(argv, monkeypatch, capsys):
     """``main`` builds only the parser of the command it runs; its help, usage
     errors and exit codes are those of the parser of every command."""
     got = main(argv), *capsys.readouterr()
-    every = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda names: every(list(cli.COMMANDS)))
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: build(list(cli.COMMANDS)))
     want = main(argv), *capsys.readouterr()
     assert got == want
     assert got[0] == (0 if {"-h", "--help"} & set(argv) else 2)
