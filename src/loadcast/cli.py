@@ -208,6 +208,9 @@ def cmd_synth(args) -> int:
     for flag, value in (("--series", args.series), ("--months", args.months)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
+    out = Path(args.out)
+    if out.suffix.lower() == ".json":
+        raise ConfigError(f"--out {out}: synth writes CSV only; JSON datasets are no longer read")
     series = data.synthetic_dataset(
         n_series=args.series,
         months=args.months,
@@ -216,12 +219,16 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         seed=args.seed,
     )
-    out = Path(args.out)
+    values = np.concatenate([s.values for s in series])
+    valid = np.isfinite(values) & (values > 0.0)
+    if not valid.all():
+        raise ConfigError(
+            f"--amplitude {args.amplitude}, --trend {args.trend} and --noise {args.noise} "
+            f"give the value {values[np.argmin(valid)]}; dataset values must be positive "
+            "and finite"
+        )
     out.parent.mkdir(parents=True, exist_ok=True)
-    if out.suffix.lower() == ".json":
-        data.write_dataset_json(series, out)
-    else:
-        data.write_dataset_csv(series, out)
+    data.write_dataset_csv(series, out)
     print(f"wrote {len(series)} series x {args.months} months to {out}")
     return 0
 
@@ -495,10 +502,12 @@ def _read_errors_csv(path) -> tuple[dict, str | None]:
         try:
             sid, year, month, error = (row[c] for c in columns)
             key, value = (sid, int(year), int(month)), float(error)
+            if not np.isfinite(value):
+                raise ValueError
         except (IndexError, ValueError):
             raise ConfigError(
                 f"{path}: line {line}: expected a series id, an integer year and month, "
-                f"and a numeric error, got {','.join(row)!r}"
+                f"and a finite numeric error, got {','.join(row)!r}"
             ) from None
         if key in out:
             raise ConfigError(

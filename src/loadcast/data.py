@@ -1,9 +1,9 @@
 """Loading, validation, splitting, windowing, and sampling of monthly demand series.
 
-The engine ingests long-form CSV (``series_id,year,month,value``) or a JSON
-manifest of per-series arrays. Series are validated on load: strictly positive
-values, contiguous months, and enough history to hold at least one training
-window plus the held-out evaluation blocks.
+The engine ingests long-form CSV (``series_id,year,month,value``), the one
+dataset format; a ``.json`` dataset path is refused. Series are validated on
+load: strictly positive values, contiguous months, and enough history to hold
+at least one training window plus the held-out evaluation blocks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import re
 import warnings
@@ -95,7 +94,7 @@ def _kept_records(fh, keep) -> tuple[Iterator[list[str]], Iterator]:
     which yields every record.
     """
     text = fh.read()
-    if '"' in text or "\0" in text or "\r" in text and text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text or "\r" in text and re.search(r"\r(?!\n)", text):
         if not fh.seekable():  # a pipe: the reader gets a copy, four bytes a character
             return csv.reader(io.StringIO(text, newline="")), itertools.count(2)
         fh.seek(0)  # stream the file again rather than copy its text
@@ -150,62 +149,11 @@ def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple]]:
     return per_id
 
 
-def _read_json_rows(path: Path, keep) -> dict[str, list[tuple[int, float, int]]]:
-    """Each kept series' (month index, value, position in its values) triples."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("series"), list):
-        raise DatasetError(f"{path}: expected an object with a 'series' list")
-    per_id: dict[str, list[tuple[int, float, int]]] = {}
-    for k, entry in enumerate(doc["series"]):
-        if keep is not None and isinstance(entry, dict) and str(entry.get("id")) not in keep:
-            continue
-        where = f"series entry {k}"
-        if not isinstance(entry, dict) or not {"id", "start", "values"} <= entry.keys():
-            raise DatasetError(f"{path}: {where}: needs 'id', 'start', 'values'")
-        if type(entry["id"]) not in (str, int):
-            raise DatasetError(
-                f"{path}: {where}: id must be a string or integer, got {json.dumps(entry['id'])}"
-            )
-        sid = str(entry["id"])
-        if sid in per_id:
-            raise DatasetError(f"{path}: {where}: duplicate series id '{sid}'")
-        start = entry["start"]
-        if not (
-            isinstance(start, list) and len(start) == 2
-            and all(type(v) is int or type(v) is float and v.is_integer() for v in start)
-            and 1 <= start[1] <= 12
-        ):
-            raise DatasetError(f"{path}: {where}: start must be [year, month 1..12], got {start!r}")
-        if not isinstance(entry["values"], list):
-            kind = type(entry["values"]).__name__
-            raise DatasetError(f"{path}: {where}: values must be a list of numbers, got {kind}")
-        base = month_index(int(start[0]), int(start[1]))
-        rows = []
-        for j, value in enumerate(entry["values"]):
-            if type(value) not in (int, float):  # a JSON number, not a string or boolean
-                raise DatasetError(
-                    f"{path}: {where}: value at position {j} is not a number: {json.dumps(value)}"
-                )
-            value = float(value)
-            if not math.isfinite(value) or value <= 0.0:
-                raise DatasetError(
-                    f"{path}: {where}: value at position {j} is {value}; "
-                    "demand values must be strictly positive"
-                )
-            rows.append((base + j, value, j))
-        per_id[sid] = rows
-    return per_id
-
-
-def _month_location(rows, month: int, k: int, unit: str) -> str:
-    """Where the k-th of ``month``'s (month index, value, location) ``rows`` was
-    read, as "<unit> <location>"; a month's rows are ordered by value, then by
+def _month_location(rows, month: int, k: int) -> str:
+    """Where the k-th of ``month``'s (month index, value, row number) ``rows``
+    was read, as "row <number>"; a month's rows are ordered by value, then by
     that text."""
-    return sorted((v, f"{unit} {loc}") for i, v, loc in rows if i == month)[k][1]
+    return sorted((v, f"row {rowno}") for i, v, rowno in rows if i == month)[k][1]
 
 
 def load_dataset(
@@ -217,28 +165,32 @@ def load_dataset(
 ) -> list[TimeSeries]:
     """Load and validate a dataset, returning one TimeSeries per distinct id.
 
-    A ``.json`` file is read as a JSON manifest, anything else as CSV. Series
-    shorter than ``min_length`` are a hard error unless ``on_short="drop"``,
-    which drops them with a warning. Months must be contiguous within each
-    series; rows may arrive unsorted.
+    A dataset is CSV with header ``series_id,year,month,value``. A path
+    ending in ``.json`` (in any case) is refused before it is opened: JSON
+    datasets are no longer read. Series shorter than ``min_length`` are a hard
+    error unless ``on_short="drop"``, which drops them with a warning. Months
+    must be contiguous within each series; rows may arrive unsorted.
 
     ``series_ids`` (a collection of ids; default: every id) restricts loading
-    to those series: rows and entries of other ids are skipped unparsed and
-    unvalidated, and a requested id that the file lacks is an error. In a CSV
-    file one regular-expression pass finds the requested series' lines, and
-    other series' lines are skipped unsplit; the file's text is then held in
-    memory whole. The search costs more per kept line than the reader, so it
-    is slower once the requested series hold more than about a third of the
-    file. A file holding a quote, a NUL or a lone CR takes the full reader
-    instead, which splits every record. A JSON file is always parsed whole.
+    to those series: rows of other ids are skipped unparsed and unvalidated,
+    and a requested id that the file lacks is an error. One regular-expression
+    pass finds the requested series' lines, and other series' lines are
+    skipped unsplit; the file's text is then held in memory whole. The search
+    costs more per kept line than the reader, so it is slower once the
+    requested series hold more than about a third of the file. A file holding
+    a quote, a NUL or a lone CR takes the full reader instead, which splits
+    every record.
     """
     path = Path(path)
+    if path.suffix.lower() == ".json":
+        raise DatasetError(
+            f"{path}: datasets are CSV with header '{','.join(CSV_HEADER)}'; "
+            "JSON datasets are no longer read"
+        )
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    is_json = path.suffix.lower() == ".json"
-    read_rows = _read_json_rows if is_json else _read_csv_rows
     try:
-        per_id = read_rows(path, None if series_ids is None else set(series_ids))
+        per_id = _read_csv_rows(path, None if series_ids is None else set(series_ids))
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: cannot be read as text: {exc}") from None
     for sid in series_ids or ():
@@ -251,17 +203,16 @@ def load_dataset(
 
     out: list[TimeSeries] = []
     short: list[str] = []
-    unit = "position" if is_json else "row"
     for sid in sorted(per_id):
         rows = sorted(per_id[sid])
         for (ia, _, _), (ib, _, _) in zip(rows, rows[1:]):
             if ib == ia:
-                where = _month_location(rows, ib, 1, unit)
+                where = _month_location(rows, ib, 1)
                 raise DatasetError(f"{path}: series '{sid}': duplicate month at {where}")
             if ib != ia + 1:
                 raise DatasetError(
                     f"{path}: series '{sid}': gap in month sequence between "
-                    f"{_month_location(rows, ia, -1, unit)} and {_month_location(rows, ib, 0, unit)}"
+                    f"{_month_location(rows, ia, -1)} and {_month_location(rows, ib, 0)}"
                 )
         series = TimeSeries(sid, index_to_month(rows[0][0]), np.array([r[1] for r in rows]))
         if len(series) < min_length:
@@ -286,17 +237,6 @@ def write_dataset_csv(series_list, path) -> None:
             for i, value in enumerate(series.values):
                 year, month = series.month_at(i)
                 writer.writerow([series.id, year, month, repr(float(value))])
-
-
-def write_dataset_json(series_list, path) -> None:
-    doc = {
-        "series": [
-            {"id": s.id, "start": list(s.start), "values": [float(v) for v in s.values]}
-            for s in series_list
-        ]
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import loadcast
 from loadcast import cli
 from loadcast.cli import main
-from loadcast.data import load_dataset, write_dataset_csv, write_dataset_json
+from loadcast.data import load_dataset, write_dataset_csv
 from loadcast.model import ModelConfig, model_forward
 from loadcast.train import load_pool
 
@@ -100,10 +101,6 @@ def test_synth_writes_loadable_dataset(tmp_path):
     assert len(series) == 8
     assert all(len(s) == 60 for s in series)
 
-    out_json = tmp_path / "synth.json"
-    assert run_cli("synth", "--out", out_json, "--series", 2, "--months", 40) == 0
-    assert len(load_dataset(out_json, min_length=36)) == 2
-
 
 @pytest.mark.parametrize("flags, message", [
     (["--series", "-2"], "--series must be >= 1, got -2"),
@@ -115,6 +112,30 @@ def test_synth_sizes_below_one_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "synth.csv"
     assert run_cli("synth", "--out", out, *flags) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--amplitude", "1.5"],
+     "--amplitude 1.5, --trend 0.02 and --noise 0.01 give the value -8151.895076226627;"),
+    (["--trend", "-1"], "--amplitude 0.2, --trend -1.0 and --noise 0.01 give the value 0.0;"),
+    (["--noise", "nan"], "--amplitude 0.2, --trend 0.02 and --noise nan give the value nan;"),
+    (["--amplitude", "inf"], "--amplitude inf, --trend 0.02 and --noise 0.01 give the value inf;"),
+], ids=["amplitude-1.5", "trend-minus-1", "noise-nan", "amplitude-inf"])
+def test_synth_values_not_positive_and_finite_exit_2(tmp_path, capsys, flags, message):
+    """Each of these flags used to write a dataset that ``train`` then refused."""
+    out = tmp_path / "synth.csv"
+    assert run_cli("synth", "--out", out, *flags) == 2
+    err = capsys.readouterr().err
+    assert message in err and "dataset values must be positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["synth.json", "synth.JSON"])
+def test_synth_refuses_a_json_out(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert run_cli("synth", "--out", out) == 2
+    assert f"--out {out}: synth writes CSV only" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -357,36 +378,21 @@ def test_forecast_bad_flags_exit_2_before_reading_files(tmp_path, workspace, cap
 
 
 def _dataset_with_fault(workspace, path, fault):
-    """The workspace dataset at ``path`` (CSV or JSON by suffix) with one fault
-    in series S01, or with an extra 3-month series SHORT; returns the id at fault
-    and the message that names the fault."""
-    series = load_dataset(workspace["dataset"], min_length=18)
-    if path.suffix == ".csv":
-        write_dataset_csv(series, path)
-        extra = {"value": ["S01,2013,5,abc"], "fields": ["S01,2013,5"],
-                 "short": [f"SHORT,2010,{m},5.0" for m in (1, 2, 3)]}[fault]
-        with open(path, "a") as fh:
-            fh.write("\n".join(extra) + "\n")
-        # 3 series x 40 months fill rows 2-121
-        message = {"value": "row 122: could not convert", "fields": "row 122: expected 4 fields",
-                   "short": "SHORT (3 months)"}[fault]
-    else:
-        write_dataset_json(series, path)
-        doc = json.loads(path.read_text())
-        if fault == "value":
-            doc["series"][1]["values"][5] = "abc"
-        elif fault == "fields":
-            del doc["series"][1]["values"]
-        else:
-            doc["series"].append({"id": "SHORT", "start": [2010, 1], "values": [5.0] * 3})
-        path.write_text(json.dumps(doc))
-        message = {"value": "series entry 1: value at position 5",
-                   "fields": "series entry 1: needs 'id', 'start', 'values'",
-                   "short": "SHORT (3 months)"}[fault]
+    """The workspace dataset at ``path`` with one fault in series S01, or with
+    an extra 3-month series SHORT; returns the id at fault and the message that
+    names the fault."""
+    write_dataset_csv(load_dataset(workspace["dataset"], min_length=18), path)
+    extra = {"value": ["S01,2013,5,abc"], "fields": ["S01,2013,5"],
+             "short": [f"SHORT,2010,{m},5.0" for m in (1, 2, 3)]}[fault]
+    with open(path, "a") as fh:
+        fh.write("\n".join(extra) + "\n")
+    # 3 series x 40 months fill rows 2-121
+    message = {"value": "row 122: could not convert", "fields": "row 122: expected 4 fields",
+               "short": "SHORT (3 months)"}[fault]
     return ("SHORT" if fault == "short" else "S01"), message
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("suffix", [".csv"])
 @pytest.mark.parametrize("fault", ["value", "fields", "short"])
 def test_forecast_validates_only_the_requested_series(tmp_path, workspace, capsys, suffix,
                                                       fault):
@@ -409,6 +415,36 @@ def test_forecast_validates_only_the_requested_series(tmp_path, workspace, capsy
     assert run_cli("evaluate", "--manifest", workspace["manifest"], "--dataset", dataset,
                    "--out-dir", tmp_path / "eval") == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".json", ".JSON"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "ablate", "sweep"])
+def test_json_dataset_exits_2_naming_the_file(tmp_path, workspace, capsys, command, suffix):
+    """JSON datasets are no longer read: one named in a config, or recorded in
+    a pool's manifest, is refused before anything is written."""
+    dataset = tmp_path / f"d{suffix}"
+    dataset.write_text(json.dumps({"series": [{"id": "S00", "start": [2010, 1],
+                                               "values": [5.0] * 40}]}))
+    out = tmp_path / "out"
+    if command in ("evaluate", "forecast"):
+        pool = tmp_path / "pool"
+        shutil.copytree(workspace["root"] / "pool", pool)
+        doc = json.loads((pool / "manifest.json").read_text())
+        doc["run"]["dataset"] = str(dataset)
+        (pool / "manifest.json").write_text(json.dumps(doc))
+        flag = "--out-dir" if command == "evaluate" else "--out"
+        argv = ["--manifest", pool / "manifest.json", flag, out]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict(workspace["config"], dataset=str(dataset),
+                                          output_dir=str(out))))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"model.tau": [0.3]}))
+        argv = ["--config", config, *(["--grid", grid] if command == "sweep" else [])]
+    assert run_cli(command, *argv) == 2
+    message = f"{dataset}: datasets are CSV with header 'series_id,year,month,value'"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_manifest_exits_2_naming_the_path(tmp_path, capsys):
@@ -568,11 +604,16 @@ def test_dm_test_misaligned_files_exit_2(tmp_path, capsys):
     ("A,2015", [], "a.csv: line 14:"),
     ("A,x,1,0.5", [], "a.csv: line 14:"),
     ("A,2015,1,abc", [], "a.csv: line 14:"),
+    # a non-finite error used to give "DM statistic +nan", and NaN tokens in --out
+    ("A,2015,1,nan", [], "a.csv: line 14:"),
+    ("A,2015,1,inf", [], "a.csv: line 14:"),
+    ("A,2015,1,-inf", [], "a.csv: line 14:"),
     (None, ["--alpha", "2"], "--alpha"),
     # identical files give a degenerate comparison, which must not hide a bad alpha
     (None, ["--alpha", "7"], "--alpha"),
     (None, ["--horizon", "0"], "--horizon"),
-], ids=["duplicate", "short-row", "bad-year", "bad-error", "alpha-2", "alpha-7", "horizon-0"])
+], ids=["duplicate", "short-row", "bad-year", "bad-error", "nan-error", "inf-error",
+        "minus-inf-error", "alpha-2", "alpha-7", "horizon-0"])
 def test_dm_test_bad_input_exits_2_naming_file_and_line(tmp_path, capsys, extra_row, flags,
                                                         message):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import os
 import random
@@ -23,7 +22,6 @@ from loadcast.data import (
     synthetic_dataset,
     training_windows,
     write_dataset_csv,
-    write_dataset_json,
 )
 
 # the `synth` command's default generator settings
@@ -98,95 +96,42 @@ def test_bad_header_and_missing_file(tmp_path):
         load_dataset(tmp_path / "nope.csv", min_length=36)
 
 
-def test_json_and_csv_produce_identical_series(tmp_path):
-    series = synthetic_dataset(3, 40, **SYNTH, seed=5)
-    csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
-    write_dataset_csv(series, csv_path)
-    write_dataset_json(series, json_path)
-    from_csv = load_dataset(csv_path, min_length=36)
-    from_json = load_dataset(json_path, min_length=36)
-    assert [s.id for s in from_csv] == [s.id for s in from_json]
-    for a, b in zip(from_csv, from_json):
-        assert a.start == b.start
-        assert np.array_equal(a.values, b.values)
+@pytest.mark.parametrize("name", ["d.json", "d.JSON"])
+def test_json_dataset_path_is_refused_unopened(tmp_path, name):
+    path = tmp_path / name
+    write_dataset_csv(synthetic_dataset(2, 40, **SYNTH, seed=5), path)
+    message = "datasets are CSV with header 'series_id,year,month,value'"
+    for target in (path, tmp_path / "missing" / name):
+        with pytest.raises(DatasetError, match=message) as raised:
+            load_dataset(target, min_length=36)
+        assert str(raised.value).startswith(f"{target}: ")
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("suffix", [".csv"])
 def test_series_ids_parse_only_the_requested_series(tmp_path, suffix):
     series = synthetic_dataset(3, 40, **SYNTH, seed=5)
     path = tmp_path / f"d{suffix}"
-    if suffix == ".csv":
-        write_dataset_csv(series, path)
-        with open(path, "a") as fh:
-            fh.write("S01,2013,5,abc\n")  # row 122
-        bad = "row 122"
-    else:
-        write_dataset_json(series, path)
-        doc = json.loads(path.read_text())
-        doc["series"][1]["values"][5] = "abc"
-        path.write_text(json.dumps(doc))
-        bad = "series entry 1: value at position 5 is not a number"
+    write_dataset_csv(series, path)
+    with open(path, "a") as fh:
+        fh.write("S01,2013,5,abc\n")  # row 122
     kept = load_dataset(path, min_length=36, series_ids=["S02", "S00"])
     assert [s.id for s in kept] == ["S00", "S02"]
     for got, want in zip(kept, [series[0], series[2]]):
         assert got.start == want.start and np.array_equal(got.values, want.values)
     for ids in (None, ["S01"], ["S00", "S01"]):
-        with pytest.raises(DatasetError, match=bad):
+        with pytest.raises(DatasetError, match="row 122"):
             load_dataset(path, min_length=36, series_ids=ids)
     with pytest.raises(DatasetError, match="unknown series id 'NOPE'"):
         load_dataset(path, min_length=36, series_ids=["S00", "NOPE"])
 
 
-@pytest.mark.parametrize(
-    "fault, message",
-    [
-        ({"start": 2010}, r"series entry 1: start must be \[year, month 1..12\], got 2010"),
-        ({"start": ["x", 1]}, r"series entry 1: start must be \[year, month 1..12\]"),
-        ({"start": [2010.5, 1]}, r"series entry 1: start must be \[year, month 1..12\]"),
-        ({"values": 5}, "series entry 1: values must be a list of numbers, got int"),
-        ({"values": "12"}, "series entry 1: values must be a list of numbers, got str"),
-        ({"values": [5.0, 6.0, 7.0, "12"]},
-         'series entry 1: value at position 3 is not a number: "12"'),
-        ({"values": [5.0, True]}, "series entry 1: value at position 1 is not a number: true"),
-        ({"id": None}, "series entry 1: id must be a string or integer, got null"),
-        ({"id": False}, "series entry 1: id must be a string or integer, got false"),
-        (None, "invalid JSON"),
-    ],
-    ids=["start-int", "start-text", "start-float", "values-int", "values-text", "value-text",
-         "value-bool", "id-null", "id-bool", "truncated"],
-)
-def test_malformed_json_entry_names_file_and_entry(tmp_path, fault, message):
-    path = tmp_path / "d.json"
-    write_dataset_json(synthetic_dataset(2, 40, **SYNTH, seed=5), path)
-    if fault is None:
-        path.write_text(path.read_text()[:-40])
-    else:
-        doc = json.loads(path.read_text())
-        doc["series"][1].update(fault)
-        path.write_text(json.dumps(doc))
-    with pytest.raises(DatasetError, match=message) as raised:
-        load_dataset(path, min_length=36)
-    assert str(raised.value).startswith(f"{path}: ")
-
-
-@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("suffix", [".csv"])
 def test_undecodable_dataset_names_its_path(tmp_path, suffix):
     path = tmp_path / f"d{suffix}"
     path.write_bytes(b"\xff\xfe" + "series_id,year,month,value\n".encode("utf-16-le"))
     with pytest.raises(DatasetError, match="cannot be read as text") as raised:
         load_dataset(path, min_length=36)
     assert str(raised.value).startswith(f"{path}: ")
-
-
-def test_json_start_may_be_whole_floats(tmp_path):
-    path = tmp_path / "d.json"
-    write_dataset_json(synthetic_dataset(2, 40, **SYNTH, seed=5), path)
-    expected = load_dataset(path, min_length=36)
-    doc = json.loads(path.read_text())
-    doc["series"][1]["start"] = [float(v) for v in doc["series"][1]["start"]]
-    path.write_text(json.dumps(doc))
-    for got, want in zip(load_dataset(path, min_length=36), expected):
-        assert got.start == want.start and np.array_equal(got.values, want.values)
 
 
 def test_cohort_shape(tmp_path):
