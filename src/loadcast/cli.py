@@ -32,9 +32,7 @@ from .evaluation import (
     point_errors,
 )
 from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose
-from .train import (
-    TrainSchedule, build_pool, load_pool, open_replacing, read_record, utc_now, write_json,
-)
+from .train import TrainSchedule, build_pool, load_pool, read_record, utc_now, write_json
 
 SPLIT_REGIONS = ("test", "val")
 
@@ -95,15 +93,23 @@ def _record(cls, doc, where: str):
         raise ConfigError(str(exc)) from None
 
 
+def _read_json(path: Path, kind: str):
+    """The document in the JSON ``kind`` file at ``path``; a usage error naming
+    the file unless it exists and holds UTF-8 JSON."""
+    if not path.exists():
+        raise ConfigError(f"{kind} file not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot be read as text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_run_config(path, overrides) -> RunConfig:
     """Read the JSON config document, apply --set overrides, validate fields."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for assignment in overrides:
@@ -133,21 +139,20 @@ def _meta(cfg_hash: str, master_seed, **extra) -> dict:
 
 def _write_csv(path, cfg_hash: str, master_seed, header, rows) -> None:
     """Write a table: a provenance comment line, ``header``, then ``rows``; the
-    file is replaced whole (``open_replacing``)."""
-    with open_replacing(path, "") as fh:
+    file is replaced whole (``data.open_replacing``)."""
+    with data.open_replacing(path, "") as fh:
         fh.write(f"# config_hash={cfg_hash} master_seed={master_seed}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _require_dataset(cfg: RunConfig) -> Path:
+def _require_dataset(cfg: RunConfig) -> None:
+    """A usage error unless the config names a dataset that ``load_dataset``
+    would open (``data.check_dataset_path``)."""
     if not cfg.dataset:
         raise ConfigError("config is missing the 'dataset' path")
-    path = Path(cfg.dataset)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
-    return path
+    data.check_dataset_path(cfg.dataset)
 
 
 def _load_series(dataset_path, model_cfg: ModelConfig, drop_short: bool, series_ids):
@@ -185,8 +190,6 @@ def _open_pool(args, series_ids):
     dataset = args.dataset or pool.run.get("dataset")
     if not dataset:
         raise ConfigError("no dataset given and the manifest records none")
-    if not Path(dataset).exists():
-        raise ConfigError(f"dataset file not found: {dataset}")
     series_list = _load_series(dataset, pool.config, drop_short=False, series_ids=series_ids)
     base_spec = _record(EnsembleSpec, pool.run.get("ensemble", {}),
                         f"{manifest}: config section 'ensemble'")
@@ -227,7 +230,6 @@ def cmd_synth(args) -> int:
             f"give the value {values[np.argmin(valid)]}; dataset values must be positive "
             "and finite"
         )
-    out.parent.mkdir(parents=True, exist_ok=True)
     data.write_dataset_csv(series, out)
     print(f"wrote {len(series)} series x {args.months} months to {out}")
     return 0
@@ -481,8 +483,11 @@ def _read_errors_csv(path) -> tuple[dict, str | None]:
         raise ConfigError(f"errors file not found: {path}")
     out = {}
     provenance = None
-    with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            raw = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot be read as text: {exc}") from None
     for row in raw:
         if row and row[0].lstrip().startswith("#"):
             provenance = ",".join(row).lstrip("# ")
@@ -576,12 +581,7 @@ def cmd_sweep(args) -> int:
     if cfg.split.val_months < 1:
         raise ConfigError("sweep needs split.val_months >= 1 to score on the validation block")
     grid_path = Path(args.grid)
-    if not grid_path.exists():
-        raise ConfigError(f"grid file not found: {grid_path}")
-    try:
-        grid = json.loads(grid_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{grid_path}: invalid JSON: {exc}") from None
+    grid = _read_json(grid_path, "grid")
     if not isinstance(grid, dict) or not grid:
         raise ConfigError(f"{grid_path}: grid must be a non-empty JSON object of field -> values")
     targets = {}
@@ -650,7 +650,10 @@ def _add_config_args(sub):
                      help="override a config field, e.g. --set model.tau=0.3")
     sub.add_argument("--drop-short", action="store_true",
                      help="drop too-short series instead of failing")
-    sub.add_argument("--workers", type=int, default=1, help="parallel member training")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="member training processes, each running its own BLAS threads; "
+                          "with more than one, set OPENBLAS_NUM_THREADS=1 (and "
+                          "OMP_NUM_THREADS, MKL_NUM_THREADS)")
 
 
 def _add_ensemble_args(sub):

@@ -1,7 +1,7 @@
 """Loading, validation, splitting, windowing, and sampling of monthly demand series.
 
-The engine ingests long-form CSV (``series_id,year,month,value``), the one
-dataset format; a ``.json`` dataset path is refused. Series are validated on
+The engine ingests long-form UTF-8 CSV (``series_id,year,month,value``), the
+one dataset format; a ``.json`` dataset path is refused. Series are validated on
 load: strictly positive values, contiguous months, and enough history to hold
 at least one training window plus the held-out evaluation blocks.
 """
@@ -12,9 +12,11 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 import warnings
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,7 +114,7 @@ def _read_csv_rows(path: Path, keep) -> dict[str, list[tuple]]:
     """Each kept series' (month index, value, row number) triples; a searched
     line's row number is a ``_SearchedRow``, which reads as the number."""
     per_id: dict[str, list[tuple]] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         # the reader is zipped ahead of the row numbers, so when it fails on a
         # record, that record's number is the next one left
         reader, rownos = csv.reader(fh), itertools.count(1)
@@ -156,6 +158,20 @@ def _month_location(rows, month: int, k: int) -> str:
     return sorted((v, f"row {rowno}") for i, v, rowno in rows if i == month)[k][1]
 
 
+def check_dataset_path(path) -> Path:
+    """``path`` as a Path; a DatasetError naming it if it ends in ``.json`` (in
+    any case), checked first, or if it does not exist."""
+    path = Path(path)
+    if path.suffix.lower() == ".json":
+        raise DatasetError(
+            f"{path}: datasets are CSV with header '{','.join(CSV_HEADER)}'; "
+            "JSON datasets are no longer read"
+        )
+    if not path.exists():
+        raise DatasetError(f"dataset file not found: {path}")
+    return path
+
+
 def load_dataset(
     path,
     *,
@@ -165,11 +181,12 @@ def load_dataset(
 ) -> list[TimeSeries]:
     """Load and validate a dataset, returning one TimeSeries per distinct id.
 
-    A dataset is CSV with header ``series_id,year,month,value``. A path
+    A dataset is UTF-8 CSV with header ``series_id,year,month,value``. A path
     ending in ``.json`` (in any case) is refused before it is opened: JSON
-    datasets are no longer read. Series shorter than ``min_length`` are a hard
-    error unless ``on_short="drop"``, which drops them with a warning. Months
-    must be contiguous within each series; rows may arrive unsorted.
+    datasets are no longer read (``check_dataset_path``). Series shorter than
+    ``min_length`` are a hard error unless ``on_short="drop"``, which drops
+    them with a warning. Months must be contiguous within each series; rows
+    may arrive unsorted.
 
     ``series_ids`` (a collection of ids; default: every id) restricts loading
     to those series: rows of other ids are skipped unparsed and unvalidated,
@@ -181,14 +198,7 @@ def load_dataset(
     a quote, a NUL or a lone CR takes the full reader instead, which splits
     every record.
     """
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        raise DatasetError(
-            f"{path}: datasets are CSV with header '{','.join(CSV_HEADER)}'; "
-            "JSON datasets are no longer read"
-        )
-    if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
+    path = check_dataset_path(path)
     try:
         per_id = _read_csv_rows(path, None if series_ids is None else set(series_ids))
     except UnicodeDecodeError as exc:
@@ -229,8 +239,31 @@ def load_dataset(
     return out
 
 
+@contextmanager
+def open_replacing(path, newline):
+    """A UTF-8 text file that replaces ``path`` whole when the block ends.
+
+    The block writes a temporary file in ``path``'s directory, which is
+    created first; ``os.replace`` then moves it over ``path``. If the block
+    raises, the temporary file is removed and ``path`` is left as it was. A
+    plain ``open`` creates the file, so it gets the mode a direct write gives.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset_csv(series_list, path) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write ``series_list`` as a CSV dataset; the file is replaced whole
+    (``open_replacing``)."""
+    with open_replacing(path, "") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for series in series_list:

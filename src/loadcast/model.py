@@ -136,11 +136,12 @@ def normalize_input(x: np.ndarray):
 class Block(NamedTuple):
     """What one block of ``model_forward`` computed, in the normalized scale.
 
-    ``hidden`` is the block input followed by each fc layer's output.
-    ``backcast`` and ``forecast`` are the raw head outputs rescaled by ``sd``
-    and shifted by the input's row mean. Under ``noDestd`` they are the raw
-    outputs, and ``centered`` (the input minus its row mean) and ``sd`` (its
-    row std) are None.
+    ``hidden`` is the block input followed by each fc layer's output; the
+    backward consumes the fc outputs, so after ``_backward`` it holds the
+    input alone. ``backcast`` and ``forecast`` are the raw head outputs
+    rescaled by ``sd`` and shifted by the input's row mean. Under ``noDestd``
+    they are the raw outputs, and ``centered`` (the input minus its row mean)
+    and ``sd`` (its row std) are None.
     """
 
     prefix: str
@@ -154,7 +155,11 @@ class Block(NamedTuple):
 
 
 class Forward(NamedTuple):
-    """Record of one forward pass: each row's input ``scale`` and one ``Block`` per block."""
+    """Record of one forward pass: each row's input ``scale`` and one ``Block`` per block.
+
+    ``_backward`` consumes each block's fc outputs (``hidden[1:]``); every
+    other array stays, so ``decompose`` reads the record before or after it.
+    """
 
     scale: np.ndarray
     blocks: list[Block]
@@ -215,11 +220,20 @@ def model_forward(params: dict, x, config: ModelConfig):
 
 
 def _backward(params: dict, forward: Forward, g_y_hat, config: ModelConfig):
-    """Reverse pass of ``model_forward``: d(loss)/d(param) from d(loss)/d(y_hat)."""
+    """Reverse pass of ``model_forward``: d(loss)/d(param) from d(loss)/d(y_hat).
+
+    It consumes ``forward``: each fc output is popped off its block's
+    ``hidden`` once the layer after it has taken its weight gradient and the
+    layer itself its ReLU mask, so the record shrinks block by block. A
+    shared weight's gradient terms add into the first, a fresh array, in place.
+    """
     grads: dict[str, np.ndarray] = {}
 
     def accumulate(name, g):
-        grads[name] = grads[name] + g if name in grads else g
+        if name in grads:  # the first term is a fresh matmul or sum: add into it
+            grads[name] += g
+        else:
+            grads[name] = g
 
     g_sum = g_y_hat * forward.scale[:, None]  # every block forecast gets this gradient
     g_next = None  # d(loss)/d(input of block m + 1)
@@ -255,7 +269,9 @@ def _backward(params: dict, forward: Forward, g_y_hat, config: ModelConfig):
             accumulate(f"{prefix}.backcast.b", g_raw_b.sum(axis=0))
             g_h = g_h + g_raw_b @ params[f"{prefix}.backcast.W"]
         for i in reversed(range(config.fc_layers)):
-            g_pre = g_h * (hidden[i + 1] > 0.0)
+            # fc i's output gave its weight gradient (to layer i + 1 or the
+            # heads) and now gives its ReLU mask: the record lets it go
+            g_pre = g_h * (hidden.pop() > 0.0)
             accumulate(f"{prefix}.fc{i}.W", g_pre.T @ hidden[i])
             accumulate(f"{prefix}.fc{i}.b", g_pre.sum(axis=0))
             if i > 0 or m > 0:

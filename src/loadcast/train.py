@@ -10,8 +10,6 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -20,7 +18,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.format import open_memmap
 
-from .data import DatasetError, SplitSpec, StratifiedSampler, training_windows
+from .data import (
+    DatasetError, SplitSpec, StratifiedSampler, open_replacing, training_windows,
+)
 from .loss import _uses_l2
 from .model import (
     ModelConfig, config_hash, init_params, loss_and_grad, model_forward, parameter_shapes,
@@ -280,27 +280,6 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@contextmanager
-def open_replacing(path, newline):
-    """A text file that replaces ``path`` whole when the block ends.
-
-    The block writes a temporary file in ``path``'s directory, which is
-    created first; ``os.replace`` then moves it over ``path``. If the block
-    raises, the temporary file is removed and ``path`` is left as it was. A
-    plain ``open`` creates the file, so it gets the mode a direct write gives.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_json(path, doc: dict) -> None:
     """Write ``doc`` as indented JSON with sorted keys, creating its directory;
     the file is replaced whole (``open_replacing``)."""
@@ -352,7 +331,7 @@ def _read_manifest(manifest_path) -> tuple[Pool, Path]:
     """The pool the manifest at ``manifest_path`` describes, before its members
     file (the second value) is opened: ``rows`` None, and ``members[i]`` None
     where no entry lists member ``i``. A ValueError naming the manifest if malformed."""
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not text

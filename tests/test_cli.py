@@ -211,12 +211,17 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
      "config section 'model': field 'ablation' must be a list of strings, got string \"noReLU\""),
     ({"model": {"ablation": ["noReLU", 1]}}, [],
      "config section 'model': field 'ablation' must be a list of strings, got array"),
+    # bytes are written as they are: these are not UTF-8
+    (b"\xff\xfe{}", [], "c.json: cannot be read as text: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["unknown-field", "number", "null", "string", "set-number", "set-array", "bool-string",
         "int-string", "int-fraction", "int-boolean", "train-int-string", "ensemble-int-fraction",
-        "float-boolean", "ablation-string", "ablation-non-string"])
+        "float-boolean", "ablation-string", "ablation-non-string", "not-utf-8"])
 def test_unknown_config_field_exits_2(tmp_path, capsys, doc, flags, message):
     config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        config_path.write_bytes(doc)
+    else:
+        config_path.write_text(json.dumps(doc))
     assert run_cli("train", "--config", config_path, *flags) == 2
     assert message in capsys.readouterr().err
 
@@ -418,10 +423,14 @@ def test_forecast_validates_only_the_requested_series(tmp_path, workspace, capsy
 
 
 @pytest.mark.parametrize("suffix", [".json", ".JSON"])
-@pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "ablate", "sweep"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "ablate", "sweep",
+                                     "train --dry-run"],
+                         ids=["train", "evaluate", "forecast", "ablate", "sweep", "train-dry-run"])
 def test_json_dataset_exits_2_naming_the_file(tmp_path, workspace, capsys, command, suffix):
     """JSON datasets are no longer read: one named in a config, or recorded in
-    a pool's manifest, is refused before anything is written."""
+    a pool's manifest, is refused before anything is written, and a dry run
+    refuses the config that the run would."""
+    command, *flags = command.split()
     dataset = tmp_path / f"d{suffix}"
     dataset.write_text(json.dumps({"series": [{"id": "S00", "start": [2010, 1],
                                                "values": [5.0] * 40}]}))
@@ -441,7 +450,7 @@ def test_json_dataset_exits_2_naming_the_file(tmp_path, workspace, capsys, comma
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"model.tau": [0.3]}))
         argv = ["--config", config, *(["--grid", grid] if command == "sweep" else [])]
-    assert run_cli(command, *argv) == 2
+    assert run_cli(command, *argv, *flags) == 2
     message = f"{dataset}: datasets are CSV with header 'series_id,year,month,value'"
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -608,20 +617,22 @@ def test_dm_test_misaligned_files_exit_2(tmp_path, capsys):
     ("A,2015,1,nan", [], "a.csv: line 14:"),
     ("A,2015,1,inf", [], "a.csv: line 14:"),
     ("A,2015,1,-inf", [], "a.csv: line 14:"),
+    # a row that is not UTF-8, appended as it is
+    (b"\xff\xfeA,2015,1,0.5\n", [], "a.csv: cannot be read as text: 'utf-8' codec can't decode"),
     (None, ["--alpha", "2"], "--alpha"),
     # identical files give a degenerate comparison, which must not hide a bad alpha
     (None, ["--alpha", "7"], "--alpha"),
     (None, ["--horizon", "0"], "--horizon"),
 ], ids=["duplicate", "short-row", "bad-year", "bad-error", "nan-error", "inf-error",
-        "minus-inf-error", "alpha-2", "alpha-7", "horizon-0"])
+        "minus-inf-error", "not-utf-8", "alpha-2", "alpha-7", "horizon-0"])
 def test_dm_test_bad_input_exits_2_naming_file_and_line(tmp_path, capsys, extra_row, flags,
                                                         message):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_errors_file(a, np.arange(1.0, 13.0))
     write_errors_file(b, np.arange(1.0, 13.0))
     if extra_row is not None:
-        with open(a, "a") as fh:
-            fh.write(extra_row + "\n")
+        with open(a, "ab" if isinstance(extra_row, bytes) else "a") as fh:
+            fh.write(extra_row if isinstance(extra_row, bytes) else extra_row + "\n")
     assert run_cli("dm-test", "--errors-a", a, "--errors-b", b, *flags) == 2
     assert message in capsys.readouterr().err
 
@@ -817,11 +828,16 @@ def test_sweep_single_combination(tmp_path, workspace):
     ({"model.ablation": ["noReLU"]}, "grid combination {'model.ablation': 'noReLU'}: config "
      "section 'model': field 'ablation' must be a list of strings, got string \"noReLU\""),
     ({"seed": [0, 1]}, "grid field 'seed' names both model.seed and train.seed"),
+    # bytes are written as they are: these are not UTF-8
+    (b"\xff\xfe{}", "bad.json: cannot be read as text: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["unknown-field", "not-a-list", "bool-string", "int-string", "ablation-string",
-        "seed-in-both-sections"])
+        "seed-in-both-sections", "not-utf-8"])
 def test_sweep_malformed_grid_names_field(tmp_path, workspace, capsys, grid, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(grid))
+    if isinstance(grid, bytes):
+        path.write_bytes(grid)
+    else:
+        path.write_text(json.dumps(grid))
     assert run_cli("sweep", "--config", workspace["config_path"], "--grid", path,
                    "--out-dir", tmp_path / "sweep") == 2
     assert message in capsys.readouterr().err
@@ -899,3 +915,35 @@ def test_forecast_builds_one_command_parser(tmp_path, workspace, monkeypatch):
     built.clear()
     assert main(["--help"]) == 0
     assert built == list(cli.COMMANDS)
+
+
+def test_outputs_do_not_depend_on_the_locale_encoding(tmp_path, workspace):
+    """Every file is read and written as UTF-8. Under the C locale with
+    Python's UTF-8 mode off, the default text encoding is ASCII; a dataset
+    with a non-ASCII id must still give the bytes a UTF-8 locale gives."""
+    dataset = tmp_path / "d.csv"
+    assert run_cli("synth", "--out", dataset, "--series", 2, "--months", 40) == 0
+    text = dataset.read_text(encoding="utf-8")
+    dataset.write_text(text.replace("\nS00,", "\nÖsterreich,"), encoding="utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(dict(workspace["config"], dataset=str(dataset))))
+    src = str(Path(loadcast.__file__).parents[1])
+    outputs = {}
+    for locale in ("C", "C.UTF-8"):
+        out = tmp_path / locale
+        env = dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   LC_ALL=locale)
+        manifest = out / "pool" / "manifest.json"
+        for argv in (["train", "--config", config, "--set", f"output_dir={out / 'pool'}"],
+                     ["evaluate", "--manifest", manifest, "--out-dir", out / "eval"],
+                     ["forecast", "--manifest", manifest, "--series", "all",
+                      "--out", out / "forecast.csv"]):
+            subprocess.run([sys.executable, "-m", "loadcast.cli", *map(str, argv)], env=env,
+                           capture_output=True, check=True, timeout=120)
+        outputs[locale] = {
+            path.relative_to(out): re.sub(rb'"created_at": "[^"]*"', b"", path.read_bytes())
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+    assert "Österreich".encode() in outputs["C.UTF-8"][Path("forecast.csv")]
+    assert len(outputs["C"]) == 7  # manifest, members, forecast and four evaluate files
+    assert outputs["C"] == outputs["C.UTF-8"]

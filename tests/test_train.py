@@ -10,7 +10,7 @@ from numpy.lib.format import open_memmap
 
 import loadcast.train as train_mod
 from loadcast.cli import _write_csv
-from loadcast.data import DatasetError, SplitSpec, TimeSeries
+from loadcast.data import DatasetError, SplitSpec, TimeSeries, write_dataset_csv
 from loadcast.model import config_hash, init_params, model_forward
 from loadcast.train import (
     Pool,
@@ -426,11 +426,18 @@ def _raising_rows():
     raise RuntimeError("row generator failed")
 
 
+def _raising_series():
+    yield TimeSeries("S00", (2010, 1), [5.0, 6.0])
+    raise RuntimeError("series generator failed")
+
+
 WRITERS = {
     # (a writer of a complete file, a writer that raises after writing a part)
     "json": (lambda path: write_json(path, {"a": 1}),
              lambda path: write_json(path, {"a": 2, "b": object()})),
     "csv": (_csv_writer(lambda: [["3", "4"]]), _csv_writer(_raising_rows)),
+    "dataset": (lambda path: write_dataset_csv([TimeSeries("S00", (2010, 1), [7.0])], path),
+                lambda path: write_dataset_csv(_raising_series(), path)),
 }
 
 

@@ -47,7 +47,7 @@ def settable_values(tree: ast.AST) -> int:
 
 
 def measure(path: Path) -> tuple[int, int, int]:
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     code = sum(1 for line in lines if line.strip() and not line.lstrip().startswith("#"))
     return code, len(lines), settable_values(ast.parse(text, filename=str(path)))

@@ -118,7 +118,7 @@ def _diff_text(old, new, out: Differences):
 
 def diff_file(old: Path, new: Path) -> Differences:
     out = Differences()
-    old_text, new_text = old.read_text(), new.read_text()
+    old_text, new_text = old.read_text(encoding="utf-8"), new.read_text(encoding="utf-8")
     if old.suffix == ".json":
         _diff_json(json.loads(old_text), json.loads(new_text), "", out)
     elif old.suffix == ".csv":
