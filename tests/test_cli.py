@@ -183,7 +183,8 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({"dataset": str(tmp_path / "absent.csv")}))
     assert run_cli("train", "--config", config_path) == 2
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"data error: dataset file not found: {tmp_path / 'absent.csv'}")
 
 
 @pytest.mark.parametrize("doc, flags, message", [

@@ -255,10 +255,9 @@ def test_gradient_flows_to_first_block():
 
 @pytest.mark.parametrize("sharing", [True, False])
 def test_loss_and_grad_peaks_within_the_forward_record_and_four_activations(sharing):
-    """The backward lets each fc activation go once it has served, and sums
-    shared-weight gradients in place; before, one step held every activation
-    until it returned and a fresh array per gradient term (6.6 activations
-    beyond the record with sharing, 16.5 without)."""
+    """One step peaks within the forward record plus 4 activations, because
+    the backward lets each fc activation go once it has served and sums
+    shared-weight gradients in place."""
     rows, cfg = 256, ModelConfig(fc_width=256, sharing=sharing)
     rng = np.random.default_rng(8)
     params = init_params(cfg, rng)

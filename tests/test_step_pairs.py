@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_step_pairs_times_one_tree_against_itself():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "step_pairs.py"), str(ROOT), str(ROOT),
-         "--width", "8", "--pairs", "1", "--steps", "1", "--warmup", "0"],
+         "--width", "8", "--pairs", "1", "--steps", "1"],
         capture_output=True, text=True, check=True, timeout=120,
     )
     pair, summary = out.stdout.splitlines()

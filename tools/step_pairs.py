@@ -1,16 +1,16 @@
 """Time one training step of two source trees in alternating fresh processes.
 
     python3 tools/step_pairs.py TREE_A TREE_B [--width 64 512] [--pairs 10]
-                                [--steps 20] [--warmup 3] [--seed 0]
+                                [--steps 20]
 
 Each TREE is a checkout holding ``src/loadcast``. For each width and pair,
 one process per tree imports loadcast from that tree, with the BLAS thread
 variables set to 1 before numpy loads, and times ``loss_and_grad`` +
 ``adam_step`` on the production shape at that width (batch 256). Both trees
-draw the same arrays from ``--seed``: the parameters from their
-``init_params``, then the lookback and target rows. After ``--warmup``
-untimed steps it times ``--steps`` steps and reports their median. Pairs
-alternate which tree runs first.
+draw the same arrays from seed 0: the parameters from their ``init_params``,
+then the lookback and target rows. After 3 untimed warm-up steps it times
+``--steps`` steps and reports their median. Pairs alternate which tree runs
+first.
 
 It prints each process's median ms/step, then per width the median of each
 side and the number of pairs each side won (ties count for neither). It also
@@ -37,19 +37,20 @@ import numpy as np
 from loadcast.model import ModelConfig, init_params, loss_and_grad
 from loadcast.train import AdamState, adam_step
 
-width, steps, warmup, seed = (int(a) for a in sys.argv[1:])
+WARMUP = 3
+width, steps = (int(a) for a in sys.argv[1:])
 config = ModelConfig(fc_width=width)
-rng = np.random.default_rng(seed)
+rng = np.random.default_rng(0)
 params = init_params(config, rng)
 x = rng.uniform(1e3, 1e4, (256, config.lookback))
 y = rng.uniform(1e3, 1e4, (256, config.horizon))
 state = AdamState(lr=1e-3)
 times = []
-for k in range(warmup + steps):
+for k in range(WARMUP + steps):
     start = time.perf_counter()
     loss, _, grads = loss_and_grad(params, x, y, config)
     adam_step(params, grads, state)
-    if k >= warmup:
+    if k >= WARMUP:
         times.append(time.perf_counter() - start)
 digest = hashlib.sha256(repr(float(loss)).encode())
 for name in sorted(params):
@@ -62,8 +63,7 @@ def time_tree(tree: Path, width: int, args) -> dict:
     """One fresh process's median ms/step and result digest for ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{v: "1" for v in THREAD_VARIABLES})
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(width), str(args.steps), str(args.warmup),
-         str(args.seed)],
+        [sys.executable, "-c", CHILD, str(width), str(args.steps)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
@@ -75,8 +75,6 @@ def main(argv=None) -> int:
     parser.add_argument("--width", type=int, nargs="+", default=[64, 512])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--steps", type=int, default=20)
-    parser.add_argument("--warmup", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for tree in args.trees:
         if not (tree / "src" / "loadcast").is_dir():
