@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from .evaluation import (
     SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, per_series_table,
     point_errors,
 )
-from .model import ABLATION_FLAGS, ModelConfig, config_hash, decompose
+from .model import ABLATION_FLAGS, ModelConfig, block_sum, config_hash
 from .train import TrainSchedule, build_pool, load_pool, read_record, utc_now, write_json
 
 SPLIT_REGIONS = ("test", "val")
@@ -313,10 +314,17 @@ def cmd_forecast(args) -> int:
     matrix = np.empty((len(members), len(x), config.horizon))
     # per member, its block contributions, shape (members, blocks, rows, H)
     contribs = np.empty((len(members), config.blocks, *matrix.shape[1:]))
-    for start, y_hat, forward in member_forwards(pool, x, members):
-        matrix[start : start + len(y_hat)] = y_hat
+    for start, scale, blocks in member_forwards(pool, x, members):
+        # each block's forecast, in the normalized scale: kept for the
+        # decomposition, otherwise only summed
+        forecasts = (block.forecast for block in blocks)
         if args.decomposition:
-            contribs[start : start + len(y_hat)] = np.swapaxes(decompose(forward), 0, 1)
+            forecasts = list(forecasts)
+        y_hat = block_sum(scale, forecasts)
+        matrix[start : start + len(y_hat)] = y_hat
+        if args.decomposition:  # the chunk's ``decompose``, member axis first
+            contribs[start : start + len(y_hat)] = np.swapaxes(
+                np.stack(forecasts) * scale[:, None], 0, 1)
     aggregated = aggregate_forecasts(matrix, drawn[None], spec.aggregation)[0]
 
     _write_csv(
@@ -644,6 +652,18 @@ def cmd_sweep(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _utf8_argument(text: str) -> str:
+    """A command-line value as the UTF-8 text its bytes hold. Python decodes
+    argv by the locale and escapes each byte it cannot decode (PEP 383), so
+    under the C locale ``Österreich`` arrives as ``'\\udcc3\\udc96sterreich'``;
+    ``os.fsencode`` gives the bytes back. A value that is not such bytes, as
+    an in-process ``main(argv)`` may pass, stays as it is."""
+    try:
+        return os.fsencode(text).decode("utf-8")
+    except UnicodeError:
+        return text
+
+
 def _add_config_args(sub):
     sub.add_argument("--config", required=True, help="JSON run-config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -651,9 +671,9 @@ def _add_config_args(sub):
     sub.add_argument("--drop-short", action="store_true",
                      help="drop too-short series instead of failing")
     sub.add_argument("--workers", type=int, default=1,
-                     help="member training processes, each running its own BLAS threads; "
-                          "with more than one, set OPENBLAS_NUM_THREADS=1 (and "
-                          "OMP_NUM_THREADS, MKL_NUM_THREADS)")
+                     help="member training processes; with more than one, each runs one "
+                          "BLAS thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or "
+                          "MKL_NUM_THREADS is set")
 
 
 def _add_ensemble_args(sub):
@@ -681,7 +701,8 @@ def _train_args(sub):
 def _forecast_args(sub):
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--dataset", default=None, help="defaults to the dataset in the manifest")
-    sub.add_argument("--series", default="all", help="comma-separated ids, or 'all'")
+    sub.add_argument("--series", default="all", type=_utf8_argument,
+                     help="comma-separated ids, or 'all'")
     sub.add_argument("--anchor", default=None, metavar="YYYY-MM",
                      help="last lookback month (default: each series' final month)")
     sub.add_argument("--out", required=True, help="forecast CSV path")
@@ -695,7 +716,8 @@ def _evaluate_args(sub):
     sub.add_argument("--dataset", default=None)
     sub.add_argument("--split", choices=list(SPLIT_REGIONS), default="test")
     sub.add_argument("--out-dir", required=True)
-    sub.add_argument("--label", default="ensemble", help="model column in per_series.csv")
+    sub.add_argument("--label", default="ensemble", type=_utf8_argument,
+                     help="model column in per_series.csv")
     _add_ensemble_args(sub)
 
 

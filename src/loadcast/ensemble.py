@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import REPORT_METRICS, SERIES_METRICS, aggregate_metrics, per_series_table
-from .model import model_forward
+from .model import block_sum, forward_blocks
 
 AGGREGATIONS = ("median", "mean")
 
@@ -66,56 +66,67 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
     draw takes ``np.median`` of each trial's gathered members instead, in
     proportion to the draw.
     """
+    return next(aggregate_blocks(matrix, [draws], aggregation))
+
+
+def aggregate_blocks(matrix, blocks, aggregation: str):
+    """``aggregate_forecasts`` of each trial block in ``blocks``, an iterable of
+    ``draws`` arrays, yielded block by block. The walk sorts the members once,
+    when the first block needs it, and serves every block from that sort."""
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
     matrix = np.asarray(matrix, dtype=np.float64)
-    draws = np.asarray(draws)
     if matrix.ndim != 3 or len(matrix) == 0:
         raise ValueError("need a (members, rows, H) forecast matrix with at least one member")
-    if draws.ndim != 2 or draws.shape[1] == 0 or draws.dtype.kind not in "iu":
-        raise ValueError("need (trials, ensemble_size) integer member indices")
-    if draws.size and not 0 <= draws.min() <= draws.max() < len(matrix):
-        raise ValueError(f"member index out of range for a pool of {len(matrix)}")
-    out = np.empty((len(draws), *matrix.shape[1:]))
-    if aggregation == "mean" or len(matrix) > draws.shape[1]:
-        reduce = np.mean if aggregation == "mean" else np.median
-        for t, drawn in enumerate(draws):
-            out[t] = reduce(matrix[drawn], axis=0)
-        return out
-
     flat = matrix.reshape(len(matrix), -1)
     positions = flat.shape[1]
-    order = np.argsort(flat, axis=0)
-    ordered = np.take_along_axis(flat, order, axis=0)
-    order = order.astype(np.min_scalar_type(len(matrix) - 1))
-    trials, size = draws.shape
-    count = np.min_scalar_type(size)
-    # counts[m, t]: how often trial t draws member m
-    counts = np.bincount((draws + len(matrix) * np.arange(trials)[:, None]).ravel(),
-                         minlength=len(matrix) * trials).reshape(trials, -1).T.astype(count)
-    # the walk's state is laid out (positions, trials), so that one step's
-    # counts are one row gather of ``counts``
-    middles = sorted({(size - 1) // 2, size // 2})
-    drawn_upto = np.zeros((positions, trials), dtype=count)
-    ranks = [np.zeros_like(drawn_upto) for _ in middles]
-    passed = np.empty(drawn_upto.shape, dtype=bool)
-    for j in range(len(matrix) - 1):  # every draw is at or below the last member
-        drawn_upto += counts[order[j]]
-        for k, rank in zip(middles, ranks):
-            np.less_equal(drawn_upto, k, out=passed)
-            rank += passed
+    ordered = None  # the members sorted at every position, once the walk needs them
+    for draws in blocks:
+        draws = np.asarray(draws)
+        if draws.ndim != 2 or draws.shape[1] == 0 or draws.dtype.kind not in "iu":
+            raise ValueError("need (trials, ensemble_size) integer member indices")
+        if draws.size and not 0 <= draws.min() <= draws.max() < len(matrix):
+            raise ValueError(f"member index out of range for a pool of {len(matrix)}")
+        out = np.empty((len(draws), *matrix.shape[1:]))
+        if aggregation == "mean" or len(matrix) > draws.shape[1]:
+            reduce = np.mean if aggregation == "mean" else np.median
+            for t, drawn in enumerate(draws):
+                out[t] = reduce(matrix[drawn], axis=0)
+            yield out
+            continue
 
-    # the middle order statistics, (trials, positions) like ``out``
-    columns = np.arange(positions)
-    median = out.reshape(trials, -1)
-    median[...] = ordered[ranks[0].T, columns]
-    if len(ranks) == 2:
-        median += ordered[ranks[1].T, columns]
-        median /= 2
-    nan = np.isnan(flat)
-    if nan.any():
-        median[(counts.T > 0) @ nan] = np.nan
-    return out
+        if ordered is None:
+            order = np.argsort(flat, axis=0)
+            ordered = np.take_along_axis(flat, order, axis=0)
+            order = order.astype(np.min_scalar_type(len(matrix) - 1))
+            nan = np.isnan(flat)
+        trials, size = draws.shape
+        count = np.min_scalar_type(size)
+        # counts[m, t]: how often trial t draws member m
+        counts = np.bincount((draws + len(matrix) * np.arange(trials)[:, None]).ravel(),
+                             minlength=len(matrix) * trials).reshape(trials, -1).T.astype(count)
+        # the walk's state is laid out (positions, trials), so that one step's
+        # counts are one row gather of ``counts``
+        middles = sorted({(size - 1) // 2, size // 2})
+        drawn_upto = np.zeros((positions, trials), dtype=count)
+        ranks = [np.zeros_like(drawn_upto) for _ in middles]
+        passed = np.empty(drawn_upto.shape, dtype=bool)
+        for j in range(len(matrix) - 1):  # every draw is at or below the last member
+            drawn_upto += counts[order[j]]
+            for k, rank in zip(middles, ranks):
+                np.less_equal(drawn_upto, k, out=passed)
+                rank += passed
+
+        # the middle order statistics, (trials, positions) like ``out``
+        columns = np.arange(positions)
+        median = out.reshape(trials, -1)
+        median[...] = ordered[ranks[0].T, columns]
+        if len(ranks) == 2:
+            median += ordered[ranks[1].T, columns]
+            median /= 2
+        if nan.any():
+            median[(counts.T > 0) @ nan] = np.nan
+        yield out
 
 
 # Bytes one chunk of ``member_forwards`` may hold. A chunk of k members on n
@@ -123,31 +134,71 @@ def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
 # and per lookback row a generous bound on what its forward keeps.
 CHUNK_BYTES = 4 << 20
 
+# Trials ``run_trials`` aggregates and scores at once. On the ``score-many``
+# benchmark shape (128 series x 12 months) a block of 16 peaks at ~1 MiB
+# traced: its medians, and the temporaries of ``aggregate_metrics``.
+TRIAL_BLOCK = 16
+
 
 def member_forwards(pool, x, members):
     """Run the pool members numbered ``members`` on the lookback rows ``x``.
 
     The members run in chunks of as many as ``CHUNK_BYTES`` allows, and at
     least one. Each chunk reads its members' parameters with
-    ``pool.member_params`` and makes one ``model_forward`` call with a leading
-    member axis. Yields ``(start, y_hat, forward)`` per chunk: the chunk's
-    offset in ``members``, its forecasts, shape (chunk, rows, H), and the
-    record of its pass.
+    ``pool.member_params`` and makes one ``forward_blocks`` pass with a
+    leading member axis. Yields ``(start, scale, blocks)`` per chunk: the
+    chunk's offset in ``members``, each row's input scale, and the pass's
+    iterator of ``Block``s, each shaped (chunk, rows, ...). A caller keeps of
+    each block what it needs before it takes the next chunk; nothing else of
+    the pass stays.
     """
     size = max(1, CHUNK_BYTES // (pool.rows.dtype.itemsize * (1 + len(x))))
     for start in range(0, len(members), size):
-        # the gathered parameters are freed before the next chunk gathers its own
-        yield (start, *model_forward(pool.member_params(members[start : start + size]), x,
-                                     pool.config))
+        # the gathered parameters are freed once the chunk's blocks are all taken
+        yield (start, *forward_blocks(pool.member_params(members[start : start + size]), x,
+                                      pool.config))
 
 
 def member_forecast_matrix(pool, x, members) -> np.ndarray:
     """Forecasts of the pool members numbered ``members`` on the lookback rows
-    ``x``, shape (len(members), rows, H), from ``member_forwards``."""
+    ``x``, shape (len(members), rows, H), from ``member_forwards``: of each
+    pass only the running sum of the block forecasts stays."""
     out = np.empty((len(members), len(x), pool.config.horizon))
-    for start, y_hat, _ in member_forwards(pool, x, members):
+    for start, scale, blocks in member_forwards(pool, x, members):
+        y_hat = block_sum(scale, (block.forecast for block in blocks))
         out[start : start + len(y_hat)] = y_hat
     return out
+
+
+def _pairwise_sum(values, n):
+    """The elementwise sum of the next ``n`` arrays of the iterator ``values``,
+    added in the order numpy sums ``n`` values along a contiguous axis: 0.0
+    plus their pairwise sum. So a sum over trials taken as the trials arrive
+    has the bits of a sum over a contiguous trial axis, without holding every
+    trial."""
+    return 0.0 + _pairwise(values, n)
+
+
+def _pairwise(values, n):
+    # numpy's pairwise summation: fewer than 8 values in turn; up to 128 in
+    # eight interleaved partial sums, then the rest in turn; above that, the
+    # two halves, split at a multiple of 8
+    if n < 8:
+        total = -0.0
+        for _ in range(n):
+            total = total + next(values)
+        return total
+    if n <= 128:
+        lanes = [next(values) for _ in range(8)]
+        for i in range(8, n - n % 8):
+            lanes[i % 8] = lanes[i % 8] + next(values)
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        for _ in range(n % 8):
+            total = total + next(values)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values, half) + _pairwise(values, n - half)
 
 
 @dataclass
@@ -178,7 +229,12 @@ def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
     """Draw ``spec.trials`` bootstrap ensembles from the pool whose member
     forecasts are ``matrix``, shape (members, rows, H) (see
     ``member_forecast_matrix``), and score each against the targets ``y``, one
-    row per series in ``series_ids``."""
+    row per series in ``series_ids``.
+
+    The trials are drawn, aggregated and scored ``TRIAL_BLOCK`` at a time, so
+    what a call holds beside its report does not grow with ``spec.trials``.
+    The report has the bits of scoring every trial at once.
+    """
     matrix = np.asarray(matrix)
     ids = list(series_ids)
     if len(matrix) == 0:
@@ -191,13 +247,29 @@ def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
     if matrix.shape[1:] != np.shape(y):
         raise ValueError(f"member forecasts {matrix.shape[1:]} do not match the targets "
                          f"{np.shape(y)}")
-    draws = [draw_member_indices(len(matrix), spec, trial) for trial in range(spec.trials)]
-    forecasts = aggregate_forecasts(matrix, draws, spec.aggregation)
-
     # score the series in id order
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    scores = aggregate_metrics(np.take(y, order, axis=0), np.take(forecasts, order, axis=1))
-    values = scores["aggregate"]
+    targets = np.take(y, order, axis=0)
+    draws = ([draw_member_indices(len(matrix), spec, trial)
+              for trial in range(start, min(start + TRIAL_BLOCK, spec.trials))]
+             for start in range(0, spec.trials, TRIAL_BLOCK))
+    values = {name: [] for name in REPORT_METRICS}  # each block's per-trial metrics
+    forecast_sum = np.zeros(matrix.shape[1:])
+
+    def series_scores():
+        # each trial's SERIES_METRICS per series, (series, metrics), trial by
+        # trial; scoring a block also keeps its trials' report metrics and adds
+        # their forecasts to the sum, in trial order, as a sum over trials does
+        for forecasts in aggregate_blocks(matrix, draws, spec.aggregation):
+            for forecast in forecasts:
+                np.add(forecast_sum, forecast, out=forecast_sum)
+            scores = aggregate_metrics(targets, np.take(forecasts, order, axis=1))
+            for name, vals in scores["aggregate"].items():
+                values[name].append(vals)
+            yield from np.stack([scores[name] for name in SERIES_METRICS], axis=-1)
+
+    series_means = _pairwise_sum(series_scores(), spec.trials) / spec.trials
+    values = {name: np.concatenate(vals) for name, vals in values.items()}
     averaged = {name: float(vals.mean()) for name, vals in values.items()}
     spread = {
         name: {
@@ -206,12 +278,10 @@ def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
         }
         for name, vals in values.items()
     }
-    # each series' mean over trials, reduced along a contiguous trial axis
-    series_means = {
-        name: np.ascontiguousarray(scores[name].T).mean(axis=-1) for name in SERIES_METRICS
-    }
     per_series_averaged = per_series_table(
-        [ids[i] for i in order], series_means, float(np.shape(y)[1])
+        [ids[i] for i in order],
+        {name: series_means[:, k] for k, name in enumerate(SERIES_METRICS)},
+        float(np.shape(y)[1]),
     )
     return TrialsReport(
         spec=spec,
@@ -221,5 +291,5 @@ def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
         averaged=averaged,
         spread=spread,
         per_series_averaged=per_series_averaged,
-        mean_forecast=forecasts.sum(axis=0) / spec.trials,
+        mean_forecast=forecast_sum / spec.trials,
     )

@@ -7,11 +7,13 @@ heads only have to predict shape. Residuals are ReLU-gated between blocks and
 the per-block forecasts are summed and denormalized. Ablation switches can
 drop the destandardization (``noDestd``) or the residual gate (``noReLU``).
 
+The forward runs one block at a time (``forward_blocks``): a scoring pass
+keeps only each block's forecast, and ``model_forward`` keeps every block.
 The graph never changes shape, so training differentiates it by hand:
-``loss_and_grad`` runs the same forward as inference and then one reverse
-pass. Float addition is not associative and checkpoints depend on the order,
-so gradient sums of three or more terms fold in one fixed order: shared
-weights last block first, a block input ``((residual + std) + mean) + fc0``.
+``loss_and_grad`` runs ``model_forward`` and then one reverse pass. Float
+addition is not associative and checkpoints depend on the order, so gradient
+sums of three or more terms fold in one fixed order: shared weights last
+block first, a block input ``((residual + std) + mean) + fc0``.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def normalize_input(x: np.ndarray):
 
 
 class Block(NamedTuple):
-    """What one block of ``model_forward`` computed, in the normalized scale.
+    """What one block of ``forward_blocks`` computed, in the normalized scale.
 
     ``hidden`` is the block input followed by each fc layer's output; the
     backward consumes the fc outputs, so after ``_backward`` it holds the
@@ -177,30 +179,35 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def model_forward(params: dict, x, config: ModelConfig):
-    """Run the model on a batch of lookback rows.
+def forward_blocks(params: dict, x, config: ModelConfig):
+    """Run the model on a batch of lookback rows, one block at a time.
 
-    Returns ``(y_hat of shape (n, horizon), Forward)``. The record holds what
-    the backward pass and ``decompose`` read of every block. Parameters with a
-    leading member axis, each shaped (K, *shape), run K members on the same
-    rows at once: ``y_hat`` is then (K, n, horizon), and the record's arrays
-    lead with the member axis too, apart from those of the input alone:
-    ``scale`` and the first block's input, ``centered`` and ``sd``.
+    Checks and normalizes ``x`` at once and returns ``(scale, blocks)``: each
+    row's input scale, and an iterator that computes the next block each time
+    it is advanced and yields its ``Block``. The iterator lets a block's arrays
+    go as it computes the next block, so they live on only where the caller
+    keeps them: ``model_forward`` keeps every block, a scoring pass only each
+    forecast. Parameters with a leading member axis, each shaped
+    (K, *shape), run K members on the same rows at once; each block's arrays
+    then lead with the member axis too, apart from those of the input alone:
+    the first block's input, ``centered`` and ``sd``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.lookback:
         raise ValueError(f"expected lookback batch of shape (n, {config.lookback}), got {x.shape}")
     normed, scale = normalize_input(x)
+    return scale, _blocks(params, normed, config)
+
+
+def _blocks(params: dict, x_m: np.ndarray, config: ModelConfig):
     prefixes = parameter_prefixes(config)
-    blocks = []
-    x_m = normed
-    forecast_sum = None
     for m in range(config.blocks):
         prefix = prefixes[0] if config.sharing else prefixes[m]
         hidden = [x_m]
         for i in range(config.fc_layers):
-            pre = affine(hidden[-1], params[f"{prefix}.fc{i}.W"], params[f"{prefix}.fc{i}.b"])
-            hidden.append(np.maximum(pre, 0.0))
+            # the pre-activation is freed once its ReLU is taken: one activation less
+            hidden.append(np.maximum(
+                affine(hidden[-1], params[f"{prefix}.fc{i}.W"], params[f"{prefix}.fc{i}.b"]), 0.0))
         raw_b = affine(hidden[-1], params[f"{prefix}.backcast.W"], params[f"{prefix}.backcast.b"])
         raw_f = affine(hidden[-1], params[f"{prefix}.forecast.W"], params[f"{prefix}.forecast.b"])
         if config.no_destd:
@@ -211,12 +218,41 @@ def model_forward(params: dict, x, config: ModelConfig):
             centered = x_m - mu
             sd = np.sqrt((centered**2).mean(axis=-1, keepdims=True))
             backcast, forecast = raw_b * sd + mu, raw_f * sd + mu
-        blocks.append(Block(prefix, hidden, raw_b, raw_f, centered, sd, backcast, forecast))
-        forecast_sum = forecast if forecast_sum is None else forecast_sum + forecast
+        yield Block(prefix, hidden, raw_b, raw_f, centered, sd, backcast, forecast)
         if m + 1 < config.blocks:
             residual = x_m - backcast
             x_m = residual if config.no_relu else np.maximum(residual, 0.0)
-    return forecast_sum * scale[:, None], Forward(scale, blocks)
+
+
+def block_sum(scale: np.ndarray, forecasts) -> np.ndarray:
+    """The model's forecast from its blocks' ``forecasts``, an iterable in
+    block order in the normalized scale: their sum, in that order, times each
+    row's input ``scale``. It holds one forecast at a time beside the sum."""
+    total = None
+    for forecast in forecasts:
+        total = forecast if total is None else total + forecast
+    return total * scale[:, None]
+
+
+def model_forward(params: dict, x, config: ModelConfig):
+    """Run the model on a batch of lookback rows and keep the record of the pass.
+
+    Returns ``(y_hat of shape (n, horizon), Forward)``: ``forward_blocks``
+    with every block kept, which the backward pass and ``decompose`` read.
+    With a leading member axis on the parameters, ``y_hat`` is
+    (K, n, horizon).
+    """
+    scale, blocks = forward_blocks(params, x, config)
+    forward = Forward(scale, [])
+
+    def forecasts():
+        # the sum takes each block's forecast as the record takes the block:
+        # summed only after the last block, the training step measured slower
+        for block in blocks:
+            forward.blocks.append(block)
+            yield block.forecast
+
+    return block_sum(scale, forecasts()), forward
 
 
 def _backward(params: dict, forward: Forward, g_y_hat, config: ModelConfig):

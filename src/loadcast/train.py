@@ -10,9 +10,11 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +152,15 @@ def train_one(
     split_spec: SplitSpec,
 ) -> TrainResult:
     """Train a single model; fully reproducible from (config, schedule, member_seed)."""
+    return _train_member(_training_set(series_list, config, split_spec), config, schedule,
+                         member_seed)
+
+
+def _training_set(series_list, config: ModelConfig, split_spec: SplitSpec):
+    """What training reads of ``series_list``: ``data.training_windows``' rows
+    ``x`` and ``y`` and per-series ``counts``, each series' first row, and the
+    series ids. A DatasetError if there is no window, or if the loss
+    normalizes by a target row's variance and some target row is constant."""
     all_x, all_y, counts = training_windows(
         series_list, split_spec, config.lookback, config.horizon
     )
@@ -168,7 +179,13 @@ def train_one(
                 f"{config.lookback - 1 + row - offsets[s]} has a constant target; "
                 "variance-normalized loss is undefined"
             )
+    return all_x, all_y, counts, offsets, [s.id for s in series_list]
 
+
+def _train_member(training_set, config: ModelConfig, schedule: TrainSchedule,
+                  member_seed: int) -> TrainResult:
+    """``train_one`` on the ``_training_set`` of its series."""
+    all_x, all_y, counts, offsets, ids = training_set
     init_ss, sampler_ss = np.random.SeedSequence(member_seed).spawn(2)
     params = init_params(config, np.random.default_rng(init_ss))
     sampler = StratifiedSampler(counts, sampler_ss)
@@ -186,7 +203,7 @@ def train_one(
             if not np.isfinite(loss_value):
                 y_hat, _ = model_forward(params, x, config)
                 bad_rows = ~np.all(np.isfinite(y_hat), axis=1)
-                bad = sorted({series_list[s].id for s in sidx[bad_rows]})
+                bad = sorted({ids[s] for s in sidx[bad_rows]})
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch + 1}, batch {step + 1}"
                     + (f"; offending series: {', '.join(bad)}" if bad else "")
@@ -248,9 +265,33 @@ def member_seeds(master_seed: int, pool_size: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _train_pool_member(args):
-    series_list, config, schedule, split_spec, seed = args
-    return train_one(series_list, config, schedule, seed, split_spec=split_spec)
+# The BLAS thread-count variables. A worker process that finds none of them
+# set loads its BLAS with one thread, since the workers share the cores.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def in_worker_processes(workers: int, function, *iterables):
+    """``map(function, *iterables)``, computed in ``workers`` processes and
+    yielded in order.
+
+    The processes are spawned, not forked, so each loads numpy afresh, after
+    ``BLAS_THREAD_VARIABLES`` that the environment leaves unset are set to 1;
+    this process's environment gets them back unset once the results are
+    all taken. A forked worker would inherit this process's BLAS with its
+    default thread count, and the workers would oversubscribe the cores.
+    """
+    # imported here: they pull in multiprocessing, which no other command needs
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    unset = [name for name in BLAS_THREAD_VARIABLES if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))  # a spawned process inherits them
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as executor:
+            yield from executor.map(function, *iterables)
+    finally:
+        for name in unset:
+            os.environ.pop(name, None)
 
 
 def pool_manifest(pool: Pool) -> dict:
@@ -447,7 +488,6 @@ def build_pool(
                 members[i] = kept
 
     pending = [i for i in range(schedule.pool_size) if members[i] is None]
-    jobs = [(series_list, config, schedule, split_spec, seeds[i]) for i in pending]
     pool = Pool(config, schedule, split_spec, members, rows, extra_manifest or {})
 
     def _keep(i, result: TrainResult):
@@ -460,16 +500,14 @@ def build_pool(
         if out_dir is not None:
             write_manifest(pool, out_path / "manifest.json")
 
-    if workers > 1 and len(jobs) > 1:
-        # imported here: it pulls in multiprocessing, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            for i, result in zip(pending, pool_exec.map(_train_pool_member, jobs)):
-                _keep(i, result)
-    else:
-        for i, job in zip(pending, jobs):
-            _keep(i, _train_pool_member(job))
+    if pending:
+        # built once for every member, and sent to each worker with its jobs
+        training_set = _training_set(series_list, config, split_spec)
+        jobs = (repeat(training_set), repeat(config), repeat(schedule), [seeds[i] for i in pending])
+        results = (in_worker_processes(workers, _train_member, *jobs)
+                   if workers > 1 and len(pending) > 1 else map(_train_member, *jobs))
+        for i, result in zip(pending, results):
+            _keep(i, result)
     if out_dir is not None and not pending:
         write_manifest(pool, out_path / "manifest.json")  # still (re)write it once
     return pool

@@ -3,12 +3,14 @@ reference implementations used as oracles, and the finite-difference gradient
 checker."""
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from loadcast.data import TimeSeries
 from loadcast.model import ModelConfig, loss_and_grad, normalize_input, parameter_prefixes
+from loadcast.train import BLAS_THREAD_VARIABLES
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -251,3 +253,13 @@ def grad_check(
             worst = max(worst, abs(fd - ga) / scale)
         report[name] = worst
     return GradCheckReport(report, tolerance)
+
+
+def blas_threads(_):
+    """The BLAS thread-count variables and the thread count of the calling
+    process after one matrix product; ``in_worker_processes`` runs it in a
+    worker. OpenBLAS starts its threads when numpy loads it."""
+    matrix = np.ones((64, 64))
+    matrix @ matrix
+    variables = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    return variables, len(os.listdir("/proc/self/task"))

@@ -717,13 +717,13 @@ def test_interrupted_pool_manifest_is_refused(tmp_path, workspace, capsys):
 
 
 def test_forecast_runs_each_drawn_member_once(tmp_path, workspace, monkeypatch):
-    # 64 draws from a pool of 2: one forward pass with a member axis of 2
+    # 64 draws from a pool of 2: one scoring pass with a member axis of 2
     import loadcast.ensemble as ensemble_mod
     from loadcast.train import load_pool
 
     forwards = []
-    forward = ensemble_mod.model_forward
-    monkeypatch.setattr(ensemble_mod, "model_forward",
+    forward = ensemble_mod.forward_blocks
+    monkeypatch.setattr(ensemble_mod, "forward_blocks",
                         lambda params, *args: forwards.append(params) or forward(params, *args))
     assert run_cli("forecast", "--manifest", workspace["manifest"], "--series", "all",
                    "--ensemble-size", 64, "--out", tmp_path / "fc.csv") == 0
@@ -738,24 +738,28 @@ def test_forecast_runs_each_drawn_member_once(tmp_path, workspace, monkeypatch):
 @pytest.mark.parametrize("sharing", [True, False], ids=["sharing", "no-sharing"])
 def test_forecast_decomposition_runs_one_pass_per_chunk(tmp_path, workspace, five_member_pools,
                                                         monkeypatch, sharing):
-    # 64 draws from 5 members in chunks of two: the three forward passes of
+    # 64 draws from 5 members in chunks of two: the three scoring passes of
     # the forecast also give the blocks, bit for bit those of each member alone
     import loadcast.cli as cli
     import loadcast.ensemble as ensemble_mod
     from loadcast.ensemble import EnsembleSpec, draw_member_indices
-    from loadcast.model import decompose
+    from loadcast.model import decompose, forward_blocks
     from loadcast.train import load_pool
 
     manifest = five_member_pools[sharing] / "manifest.json"
     pool = load_pool(manifest)
     chunks = []
 
-    def counted_forward(params, *args):
-        chunks.append(len(next(iter(params.values()))))
-        return model_forward(params, *args)
+    def counted(forward):
+        def run(params, *args):
+            chunks.append(len(next(iter(params.values()))))
+            return forward(params, *args)
+        return run
 
-    monkeypatch.setattr(ensemble_mod, "model_forward", counted_forward)
-    monkeypatch.setattr(cli, "model_forward", counted_forward, raising=False)  # a second pass
+    monkeypatch.setattr(ensemble_mod, "forward_blocks", counted(forward_blocks))
+    # a second pass, by either entry point, would be counted too
+    monkeypatch.setattr(cli, "forward_blocks", counted(forward_blocks), raising=False)
+    monkeypatch.setattr(cli, "model_forward", counted(model_forward), raising=False)
     monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 2 * pool.rows.dtype.itemsize * (1 + 3))
     decomposition = tmp_path / "blocks.json"
     assert run_cli("forecast", "--manifest", manifest, "--series", "all", "--ensemble-size", 64,
@@ -919,9 +923,11 @@ def test_forecast_builds_one_command_parser(tmp_path, workspace, monkeypatch):
 
 
 def test_outputs_do_not_depend_on_the_locale_encoding(tmp_path, workspace):
-    """Every file is read and written as UTF-8. Under the C locale with
-    Python's UTF-8 mode off, the default text encoding is ASCII; a dataset
-    with a non-ASCII id must still give the bytes a UTF-8 locale gives."""
+    """Every file is read and written as UTF-8, and so is the text of
+    ``--series`` and ``--label``. Under the C locale with Python's UTF-8 mode
+    off, the default text encoding is ASCII; a dataset with a non-ASCII id,
+    and that id or a label on the command line, must still give the bytes a
+    UTF-8 locale gives."""
     dataset = tmp_path / "d.csv"
     assert run_cli("synth", "--out", dataset, "--series", 2, "--months", 40) == 0
     text = dataset.read_text(encoding="utf-8")
@@ -938,7 +944,11 @@ def test_outputs_do_not_depend_on_the_locale_encoding(tmp_path, workspace):
         for argv in (["train", "--config", config, "--set", f"output_dir={out / 'pool'}"],
                      ["evaluate", "--manifest", manifest, "--out-dir", out / "eval"],
                      ["forecast", "--manifest", manifest, "--series", "all",
-                      "--out", out / "forecast.csv"]):
+                      "--out", out / "forecast.csv"],
+                     ["evaluate", "--manifest", manifest, "--label", "Österreich",
+                      "--out-dir", out / "labelled"],
+                     ["forecast", "--manifest", manifest, "--series", "Österreich",
+                      "--out", out / "one.csv"]):
             subprocess.run([sys.executable, "-m", "loadcast.cli", *map(str, argv)], env=env,
                            capture_output=True, check=True, timeout=120)
         outputs[locale] = {
@@ -946,5 +956,7 @@ def test_outputs_do_not_depend_on_the_locale_encoding(tmp_path, workspace):
             for path in sorted(out.rglob("*")) if path.is_file()
         }
     assert "Österreich".encode() in outputs["C.UTF-8"][Path("forecast.csv")]
-    assert len(outputs["C"]) == 7  # manifest, members, forecast and four evaluate files
+    assert "\nÖsterreich,".encode() in outputs["C.UTF-8"][Path("one.csv")]
+    assert "\nÖsterreich,S01,".encode() in outputs["C.UTF-8"][Path("labelled/per_series.csv")]
+    assert len(outputs["C"]) == 12  # manifest, members, two forecasts, twice four evaluate files
     assert outputs["C"] == outputs["C.UTF-8"]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,13 @@ from loadcast.data import SplitSpec
 from loadcast.ensemble import (
     CHUNK_BYTES,
     EnsembleSpec,
+    _pairwise_sum,
     aggregate_forecasts,
     draw_member_indices,
     member_forecast_matrix,
     run_trials,
 )
+from loadcast.evaluation import REPORT_METRICS, SERIES_METRICS, aggregate_metrics
 from loadcast.model import init_params, model_forward
 from loadcast.train import Pool, TrainSchedule, TrainedMember, member_dtype, save_checkpoint
 
@@ -329,12 +332,12 @@ def test_run_trials_is_independent_of_row_order():
 
 
 def test_member_forecast_matrix_forecasts_the_given_members(monkeypatch):
-    # the stacked forward passes give the bits of one forward pass per member
+    # the stacked scoring passes give the bits of one model_forward per member
     import loadcast.ensemble as ensemble_mod
 
-    forward = ensemble_mod.model_forward
+    forward = ensemble_mod.forward_blocks
     calls = []
-    monkeypatch.setattr(ensemble_mod, "model_forward",
+    monkeypatch.setattr(ensemble_mod, "forward_blocks",
                         lambda *args: calls.append(1) or forward(*args))
     rng = np.random.default_rng(5)
     members = [3, 0, 3, 4, 1, 0]  # repeated and out of order
@@ -373,6 +376,102 @@ def test_member_forecast_matrix_peaks_within_a_multiple_of_one_forward():
     finally:
         tracemalloc.stop()
     assert peak < 3 * one + matrix.nbytes
+
+
+def test_member_forecast_matrix_peaks_below_one_model_forward():
+    # a scoring pass keeps one block's arrays and the running forecast sum,
+    # where model_forward keeps every block's record; at the production shape
+    # a chunk of 128 rows holds one member
+    pool = make_pool(64, fc_width=64, lookback=12, horizon=12, blocks=6, fc_layers=3)
+    x = np.random.default_rng(6).uniform(500.0, 1500.0, size=(128, pool.config.lookback))
+    params = params_of(pool, 0)
+    member_forecast_matrix(pool, x, [0])  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        model_forward(params, x, pool.config)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        matrix = member_forecast_matrix(pool, x, range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one + matrix.nbytes
+
+
+def score_many_shape(trials, pool_size=16, size=64, aggregation="median"):
+    """A member forecast matrix, targets, ids and spec of the benchmark's
+    ``score-many`` evaluate: 128 series x 12 months, draws of 64."""
+    rng = np.random.default_rng([pool_size, size])
+    matrix = rng.uniform(900.0, 1100.0, size=(pool_size, 128, 12))
+    y = rng.uniform(900.0, 1100.0, size=(128, 12))
+    ids = [f"S{i:03d}" for i in rng.permutation(128)]
+    return matrix, y, ids, EnsembleSpec(ensemble_size=size, trials=trials, aggregation=aggregation,
+                                         seed=pool_size)
+
+
+def test_run_trials_memory_does_not_grow_with_trials():
+    # trials are scored in blocks; only the per-trial report metrics grow
+    peaks = {}
+    for trials in (2, 100, 400):  # the first call imports and caches
+        matrix, y, ids, spec = score_many_shape(trials)
+        tracemalloc.start()
+        try:
+            run_trials(matrix, spec, y, ids)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] < 1.5 * peaks[100]
+
+
+def report_bits(report):
+    return json.dumps(report.to_dict(), sort_keys=True), report.mean_forecast.tobytes()
+
+
+@pytest.mark.parametrize("aggregation", ["median", "mean"])
+@pytest.mark.parametrize("pool_size", [8, 12], ids=["pool-at-draw", "pool-above-draw"])
+def test_run_trials_is_bit_identical_across_trial_blocks(monkeypatch, aggregation, pool_size):
+    import loadcast.ensemble as ensemble_mod
+
+    matrix, y, ids, spec = score_many_shape(23, pool_size=pool_size, size=8,
+                                            aggregation=aggregation)
+    reports = {}
+    for block in (1, 7, 23):
+        monkeypatch.setattr(ensemble_mod, "TRIAL_BLOCK", block)
+        reports[block] = report_bits(run_trials(matrix, spec, y, ids))
+    assert reports[1] == reports[7] == reports[23]
+
+
+@pytest.mark.parametrize("trials", [1, 5, 100, 300])
+def test_run_trials_scores_as_one_pass_over_every_trial(trials):
+    # the report of scoring every trial at once, with numpy's reductions over
+    # the trial axis; 300 trials split numpy's pairwise sum in halves
+    matrix, y, ids, spec = score_many_shape(trials)
+    report = run_trials(matrix, spec, y, ids)
+    draws = [draw_member_indices(len(matrix), spec, t) for t in range(trials)]
+    forecasts = aggregate_forecasts(matrix, draws, spec.aggregation)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    scores = aggregate_metrics(y[order], forecasts[:, order])
+    assert report.mean_forecast.tobytes() == (forecasts.sum(axis=0) / trials).tobytes()
+    assert report.per_trial == [
+        {name: float(scores["aggregate"][name][t]) for name in REPORT_METRICS}
+        for t in range(trials)
+    ]
+    for name, vals in scores["aggregate"].items():
+        assert report.averaged[name] == float(vals.mean())
+        assert report.spread[name]["std"] == float(vals.std())
+    for name in SERIES_METRICS:
+        means = np.ascontiguousarray(scores[name].T).mean(axis=-1)
+        got = [report.per_series_averaged[ids[i]][name] for i in order]
+        assert np.array(got).tobytes() == means.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [*range(1, 20), 64, 127, 128, 129, 255, 256, 257, 300, 1000])
+def test_pairwise_sum_adds_in_numpy_order(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(n, 40)) * 10.0 ** rng.integers(-8, 9, size=(n, 40))
+    values[:, :8] = rng.choice([-0.0, 0.0, 1e16, -1e16, 1.0], size=(n, 8))  # cancellation
+    got = _pairwise_sum(iter(values), n)
+    assert got.tobytes() == np.ascontiguousarray(values.T).sum(axis=-1).tobytes()
 
 
 def test_run_trials_validates_inputs():

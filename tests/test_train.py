@@ -16,7 +16,9 @@ from loadcast.train import (
     Pool,
     TrainSchedule,
     TrainedMember,
+    BLAS_THREAD_VARIABLES,
     build_pool,
+    in_worker_processes,
     load_pool,
     member_dtype,
     member_seeds,
@@ -27,7 +29,7 @@ from loadcast.train import (
     write_json,
 )
 
-from helpers import params_of, sinusoid_trend_series, tiny_config
+from helpers import blas_threads, params_of, sinusoid_trend_series, tiny_config
 
 TINY_SCHEDULE = TrainSchedule(epochs=2, batches_per_epoch=5, batch_size=8, pool_size=2, seed=42)
 TINY_SPLIT = SplitSpec(test_months=3, val_months=3)
@@ -371,6 +373,24 @@ def test_parallel_workers_match_sequential(tmp_path):
     for i in range(len(seq.members)):
         pa, pb = params_of(seq, i), params_of(par, i)
         assert all(np.array_equal(pa[n], pb[n]) for n in pa)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_a_worker_sees_one_blas_thread(monkeypatch):
+    # a forked worker would inherit this process's BLAS, whose default
+    # thread count is one per core
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    (variables, threads), = in_worker_processes(2, blas_threads, [0])
+    assert variables == dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+    assert threads == 1
+    assert not set(BLAS_THREAD_VARIABLES) & set(os.environ)  # this process's are unset again
+    # a count the user sets is kept
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    (variables, _), = in_worker_processes(2, blas_threads, [0])
+    assert variables == {**dict.fromkeys(BLAS_THREAD_VARIABLES, "1"), "OPENBLAS_NUM_THREADS": "2"}
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert not {"OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
 
 
 def test_parallel_build_writes_the_same_members_file(tmp_path):
