@@ -134,10 +134,12 @@ def aggregate_blocks(matrix, blocks, aggregation: str):
 # and per lookback row a generous bound on what its forward keeps.
 CHUNK_BYTES = 4 << 20
 
-# Trials ``run_trials`` aggregates and scores at once. On the ``score-many``
-# benchmark shape (128 series x 12 months) a block of 16 peaks at ~1 MiB
-# traced: its medians, and the temporaries of ``aggregate_metrics``.
-TRIAL_BLOCK = 16
+# Bytes one block of ``run_trials`` may hold. A trial counts as 6 float64
+# values per forecast position: its median, the median's copy in series
+# order, and the ~4.6 that ``aggregate_metrics`` peaks at in tracemalloc. So
+# the ``score-many`` benchmark shape (128 series x 12 months) takes 14 trials
+# a block, and a shape of up to 18 series takes the default 100 in one.
+TRIAL_BYTES = 1 << 20
 
 
 def member_forwards(pool, x, members):
@@ -231,9 +233,10 @@ def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
     ``member_forecast_matrix``), and score each against the targets ``y``, one
     row per series in ``series_ids``.
 
-    The trials are drawn, aggregated and scored ``TRIAL_BLOCK`` at a time, so
-    what a call holds beside its report does not grow with ``spec.trials``.
-    The report has the bits of scoring every trial at once.
+    The trials are drawn, aggregated and scored in blocks of as many as
+    ``TRIAL_BYTES`` allows, and at least one, so what a call holds beside its
+    report does not grow with ``spec.trials``. The report has the bits of
+    scoring every trial at once.
     """
     matrix = np.asarray(matrix)
     ids = list(series_ids)
@@ -250,9 +253,10 @@ def run_trials(matrix, spec: EnsembleSpec, y, series_ids) -> TrialsReport:
     # score the series in id order
     order = sorted(range(len(ids)), key=ids.__getitem__)
     targets = np.take(y, order, axis=0)
+    size = max(1, TRIAL_BYTES // (6 * 8 * np.size(y)))
     draws = ([draw_member_indices(len(matrix), spec, trial)
-              for trial in range(start, min(start + TRIAL_BLOCK, spec.trials))]
-             for start in range(0, spec.trials, TRIAL_BLOCK))
+              for trial in range(start, min(start + size, spec.trials))]
+             for start in range(0, spec.trials, size))
     values = {name: [] for name in REPORT_METRICS}  # each block's per-trial metrics
     forecast_sum = np.zeros(matrix.shape[1:])
 

@@ -506,8 +506,8 @@ def build_pool(
         jobs = (repeat(training_set), repeat(config), repeat(schedule), [seeds[i] for i in pending])
         results = (in_worker_processes(workers, _train_member, *jobs)
                    if workers > 1 and len(pending) > 1 else map(_train_member, *jobs))
-        for i, result in zip(pending, results):
-            _keep(i, result)
+        for i in pending:  # no name keeps a written member while the next one trains
+            _keep(i, next(results))
     if out_dir is not None and not pending:
         write_manifest(pool, out_path / "manifest.json")  # still (re)write it once
     return pool

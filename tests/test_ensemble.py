@@ -436,7 +436,7 @@ def test_run_trials_is_bit_identical_across_trial_blocks(monkeypatch, aggregatio
                                             aggregation=aggregation)
     reports = {}
     for block in (1, 7, 23):
-        monkeypatch.setattr(ensemble_mod, "TRIAL_BLOCK", block)
+        monkeypatch.setattr(ensemble_mod, "TRIAL_BYTES", block * 6 * y.nbytes)
         reports[block] = report_bits(run_trials(matrix, spec, y, ids))
     assert reports[1] == reports[7] == reports[23]
 
