@@ -13,10 +13,10 @@ from loadcast.cli import _write_csv
 from loadcast.data import DatasetError, SplitSpec, TimeSeries, write_dataset_csv
 from loadcast.model import config_hash, init_params, model_forward
 from loadcast.train import (
+    BLAS_THREAD_VARIABLES,
     Pool,
     TrainSchedule,
     TrainedMember,
-    BLAS_THREAD_VARIABLES,
     build_pool,
     in_worker_processes,
     load_pool,
