@@ -19,7 +19,7 @@ from .data import (
     synthetic_dataset,
     training_windows,
 )
-from .ensemble import EnsembleSpec, aggregate_forecasts, member_forecast_matrix, run_trials
+from .ensemble import EnsembleSpec, aggregate_blocks, member_forecast_matrix, run_trials
 from .evaluation import (
     DMResult,
     aggregate_metrics,
@@ -39,6 +39,7 @@ from .model import (
 )
 from .train import (
     AdamState, Pool, TrainSchedule, TrainedMember, adam_step, build_pool, load_pool, train_one,
+    training_set,
 )
 
 __version__ = "0.1.0"

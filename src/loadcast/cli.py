@@ -25,14 +25,14 @@ import numpy as np
 from . import data
 from .baselines import PERIOD, seasonal_naive
 from .ensemble import (
-    EnsembleSpec, aggregate_forecasts, draw_member_indices, member_forecast_matrix,
-    member_forwards, run_trials,
+    EnsembleSpec, aggregate_blocks, draw_member_indices, member_forecast_matrix, member_forwards,
+    run_trials,
 )
 from .evaluation import (
     SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, per_series_table,
     point_errors,
 )
-from .model import ABLATION_FLAGS, ModelConfig, block_sum, config_hash
+from .model import ABLATION_FLAGS, ModelConfig, block_sum, config_hash, decompose
 from .train import TrainSchedule, build_pool, load_pool, read_record, utc_now, write_json
 
 SPLIT_REGIONS = ("test", "val")
@@ -118,11 +118,11 @@ def load_run_config(path, overrides) -> RunConfig:
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    dataset = doc.get("dataset")
-    output_dir = doc.get("output_dir")
+    for name in ("dataset", "output_dir"):
+        if type(value := doc.get(name)) not in (str, type(None)):
+            raise ConfigError(f"config field '{name}' must be a string, got {json.dumps(value)}")
     return RunConfig(
-        dataset=str(dataset) if dataset is not None else None,
-        output_dir=str(output_dir) if output_dir is not None else None,
+        dataset=doc.get("dataset"), output_dir=doc.get("output_dir"),
         model=_record(ModelConfig, doc.get("model", {}), "config section 'model'"),
         schedule=_record(TrainSchedule, doc.get("train", {}), "config section 'train'"),
         ensemble=_record(EnsembleSpec, doc.get("ensemble", {}), "config section 'ensemble'"),
@@ -146,14 +146,6 @@ def _write_csv(path, cfg_hash: str, master_seed, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _require_dataset(cfg: RunConfig) -> None:
-    """A usage error unless the config names a dataset that ``load_dataset``
-    would open (``data.check_dataset_path``)."""
-    if not cfg.dataset:
-        raise ConfigError("config is missing the 'dataset' path")
-    data.check_dataset_path(cfg.dataset)
 
 
 def _load_series(dataset_path, model_cfg: ModelConfig, drop_short: bool, series_ids):
@@ -198,10 +190,15 @@ def _open_pool(args, series_ids):
 
 
 def _run_config(args) -> RunConfig:
-    """The run config of a training command, after checking its ``--workers``."""
+    """The run config of a training command; a usage error unless ``--workers``
+    is at least 1 and it names a dataset that ``data.check_dataset_path`` passes."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    return load_run_config(args.config, args.set)
+    cfg = load_run_config(args.config, args.set)
+    if not cfg.dataset:
+        raise ConfigError("config is missing the 'dataset' path")
+    data.check_dataset_path(cfg.dataset)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    _require_dataset(cfg)
     if args.dry_run:
         print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -322,10 +318,9 @@ def cmd_forecast(args) -> int:
             forecasts = list(forecasts)
         y_hat = block_sum(scale, forecasts)
         matrix[start : start + len(y_hat)] = y_hat
-        if args.decomposition:  # the chunk's ``decompose``, member axis first
-            contribs[start : start + len(y_hat)] = np.swapaxes(
-                np.stack(forecasts) * scale[:, None], 0, 1)
-    aggregated = aggregate_forecasts(matrix, drawn[None], spec.aggregation)[0]
+        if args.decomposition:  # member axis first
+            contribs[start : start + len(y_hat)] = np.swapaxes(decompose(scale, forecasts), 0, 1)
+    aggregated = next(aggregate_blocks(matrix, [drawn[None]], spec.aggregation))[0]
 
     _write_csv(
         args.out, pool.config_hash, pool.schedule.seed, ["series_id", "year", "month", "forecast"],
@@ -381,13 +376,19 @@ def _baseline_report(series_list, starts, y):
     }
 
 
-def cmd_evaluate(args) -> int:
-    pool, dataset, series_list, spec = _open_pool(args, None)
+def _score(pool, series_list, region: str, spec: EnsembleSpec):
+    """``run_trials``' report on every member of ``pool`` over the ``region``
+    windows of ``series_list``, with those windows' targets and start months."""
     x, y, starts = data.evaluation_windows(
-        series_list, pool.split, pool.config.lookback, pool.config.horizon, region=args.split
+        series_list, pool.split, pool.config.lookback, pool.config.horizon, region=region
     )
     matrix = member_forecast_matrix(pool, x, range(len(pool.members)))
-    report = run_trials(matrix, spec, y, [s.id for s in series_list])
+    return run_trials(matrix, spec, y, [s.id for s in series_list]), y, starts
+
+
+def cmd_evaluate(args) -> int:
+    pool, dataset, series_list, spec = _open_pool(args, None)
+    report, y, starts = _score(pool, series_list, args.split, spec)
     baseline = _baseline_report(series_list, starts, y)
 
     out_dir = Path(args.out_dir)
@@ -440,30 +441,31 @@ def _train_and_score(series, cfg: RunConfig, model_cfg, schedule, region: str, w
     """Build a pool for one variant of ``cfg`` and score it on ``region``."""
     pool = build_pool(series, model_cfg, schedule, split_spec=cfg.split, out_dir=out_dir,
                       workers=workers, extra_manifest=run)
-    x, y, _ = data.evaluation_windows(
-        series, cfg.split, model_cfg.lookback, model_cfg.horizon, region=region
-    )
-    matrix = member_forecast_matrix(pool, x, range(len(pool.members)))
-    return pool, run_trials(matrix, cfg.ensemble, y, [s.id for s in series])
+    return pool, _score(pool, series, region, cfg.ensemble)[0]
+
+
+def _write_results(cfg: RunConfig, table_path, header, rows, json_path, doc: dict) -> None:
+    """Write ``ablate``'s or ``sweep``'s table and its JSON document ``doc``,
+    under the provenance of ``cfg``'s own model config."""
+    base_hash = config_hash(cfg.model)
+    _write_csv(table_path, base_hash, cfg.schedule.seed, header, rows)
+    meta = _meta(base_hash, cfg.schedule.seed, dataset=cfg.dataset)
+    write_json(json_path, {"meta": meta, **doc})
 
 
 def cmd_ablate(args) -> int:
     cfg = _run_config(args)
-    _require_dataset(cfg)
     out_dir = Path(args.out_dir or cfg.output_dir or "ablation")
     series = _load_series(cfg.dataset, cfg.model, args.drop_short, series_ids=None)
 
-    variants = ["full", *ABLATION_FLAGS]
-    rows = []
     details = {}
-    for variant in variants:
+    for variant in ["full", *ABLATION_FLAGS]:
         flags = frozenset() if variant == "full" else frozenset({variant})
         model_cfg = replace(cfg.model, ablation=flags)
         pool, report = _train_and_score(
             series, cfg, model_cfg, cfg.schedule, "test", args.workers,
             out_dir=out_dir / variant, run={"dataset": cfg.dataset, "variant": variant},
         )
-        rows.append((variant, report.averaged["mape"], report.averaged["rmse"]))
         details[variant] = {
             "config_hash": config_hash(model_cfg),
             "mape": report.averaged["mape"],
@@ -472,14 +474,10 @@ def cmd_ablate(args) -> int:
         }
         print(f"{variant:8s} MAPE {report.averaged['mape']:.3f}  RMSE {report.averaged['rmse']:.3f}")
 
-    base_hash = config_hash(cfg.model)
-    _write_csv(
-        out_dir / "ablation_table.csv", base_hash, cfg.schedule.seed, ["variant", "mape", "rmse"],
-        ([variant, repr(mape), repr(rmse)] for variant, mape, rmse in rows),
-    )
-    write_json(
-        out_dir / "ablation.json",
-        {"meta": _meta(base_hash, cfg.schedule.seed, dataset=cfg.dataset), "variants": details},
+    _write_results(
+        cfg, out_dir / "ablation_table.csv", ["variant", "mape", "rmse"],
+        ([variant, repr(doc["mape"]), repr(doc["rmse"])] for variant, doc in details.items()),
+        out_dir / "ablation.json", {"variants": details},
     )
     print(f"ablation table in {out_dir}")
     return 0
@@ -585,7 +583,6 @@ def _grid_target(field: str):
 
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    _require_dataset(cfg)
     if cfg.split.val_months < 1:
         raise ConfigError("sweep needs split.val_months >= 1 to score on the validation block")
     grid_path = Path(args.grid)
@@ -626,22 +623,14 @@ def cmd_sweep(args) -> int:
 
     best = min(rows, key=lambda r: r["val_mape"])
     out_dir = Path(args.out_dir or cfg.output_dir or "sweep")
-    base_hash = config_hash(cfg.model)
-    _write_csv(
-        out_dir / "sweep.csv", base_hash, cfg.schedule.seed,
+    _write_results(
+        cfg, out_dir / "sweep.csv",
         field_names + ["val_mape", "val_medape", "val_rmse", "config_hash"],
         ([row[name] for name in field_names]
          + [repr(row["val_mape"]), repr(row["val_medape"]), repr(row["val_rmse"]),
             row["config_hash"]]
          for row in rows),
-    )
-    write_json(
-        out_dir / "sweep.json",
-        {
-            "meta": _meta(base_hash, cfg.schedule.seed, dataset=cfg.dataset),
-            "rows": rows,
-            "best": best,
-        },
+        out_dir / "sweep.json", {"rows": rows, "best": best},
     )
     best_label = ", ".join(f"{k}={best[k]}" for k in field_names)
     print(f"best by validation MAPE: {best_label} ({best['val_mape']:.3f}); table in {out_dir}")

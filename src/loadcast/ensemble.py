@@ -44,35 +44,30 @@ def draw_member_indices(pool_size: int, spec: EnsembleSpec, trial_index: int) ->
     return rng.integers(pool_size, size=spec.ensemble_size)
 
 
-def aggregate_forecasts(matrix, draws, aggregation: str) -> np.ndarray:
-    """Elementwise median or mean of each trial's drawn members.
+def aggregate_blocks(matrix, blocks, aggregation: str):
+    """Elementwise median or mean of each trial's drawn members, yielded block
+    by block.
 
-    ``matrix`` holds the member forecasts, shape (members, rows, H); ``draws``
-    holds each trial's member indices, shape (trials, ensemble_size), repeats
-    allowed. Returns (trials, rows, H).
+    ``matrix`` holds the member forecasts, shape (members, rows, H); ``blocks``
+    is an iterable of trial blocks, each holding its trials' member indices,
+    shape (trials, ensemble_size), repeats allowed. Yields (trials, rows, H)
+    per block.
 
     A draw with replacement is fixed by how often it takes each member, so when
     the pool is no larger than the draw, the members are sorted once at every
-    position and one walk over the sorted members serves every trial. Each
-    step adds the count of the member sorted there to every trial's running
-    draw count, in the smallest unsigned dtype that holds the draw. Per middle
-    order statistic k, the number of steps that end with at most k draws is
-    the sorted rank of that statistic. The median is the middle one for an
-    odd draw and half the sum of the two middle ones for an even draw, as in
-    ``np.median``, so the bits equal ``np.median`` over the drawn members, NaN
-    wherever a drawn member is NaN. Only which of two tied zeros of opposite
-    sign comes back may differ. The walk's work grows with members x trials x
-    positions and its memory with trials x positions, so a pool larger than the
-    draw takes ``np.median`` of each trial's gathered members instead, in
-    proportion to the draw.
+    position, when the first block needs it, and one walk over the sorted
+    members serves every trial of a block. Each step adds the count of the
+    member sorted there to every trial's running draw count, in the smallest
+    unsigned dtype that holds the draw. Per middle order statistic k, the
+    number of steps that end with at most k draws is the sorted rank of that
+    statistic. The median is the middle one for an odd draw and half the sum
+    of the two middle ones for an even draw, as in ``np.median``, so the bits
+    equal ``np.median`` over the drawn members, NaN wherever a drawn member is
+    NaN. Only which of two tied zeros of opposite sign comes back may differ.
+    The walk's work grows with members x trials x positions and its memory with
+    trials x positions, so a pool larger than the draw takes ``np.median`` of
+    each trial's gathered members instead, in proportion to the draw.
     """
-    return next(aggregate_blocks(matrix, [draws], aggregation))
-
-
-def aggregate_blocks(matrix, blocks, aggregation: str):
-    """``aggregate_forecasts`` of each trial block in ``blocks``, an iterable of
-    ``draws`` arrays, yielded block by block. The walk sorts the members once,
-    when the first block needs it, and serves every block from that sort."""
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
     matrix = np.asarray(matrix, dtype=np.float64)

@@ -8,6 +8,7 @@ error ``mean(d * d * (1 / var))``, with ``d = y - y_hat``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.nmse_weight < 0.0:
-            raise ValueError("nmse_weight must be >= 0")
+        if not 0.0 <= self.nmse_weight < math.inf:
+            raise ValueError(f"nmse_weight must be >= 0 and finite, got {self.nmse_weight}")
 
 
 def _check_pair(y, y_hat):

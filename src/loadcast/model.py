@@ -160,7 +160,8 @@ class Forward(NamedTuple):
     """Record of one forward pass: each row's input ``scale`` and one ``Block`` per block.
 
     ``_backward`` consumes each block's fc outputs (``hidden[1:]``); every
-    other array stays, so ``decompose`` reads the record before or after it.
+    other array stays, so ``decompose`` takes the ``scale`` and the blocks'
+    forecasts before or after it.
     """
 
     scale: np.ndarray
@@ -238,7 +239,7 @@ def model_forward(params: dict, x, config: ModelConfig):
     """Run the model on a batch of lookback rows and keep the record of the pass.
 
     Returns ``(y_hat of shape (n, horizon), Forward)``: ``forward_blocks``
-    with every block kept, which the backward pass and ``decompose`` read.
+    with every block kept, which the backward pass reads.
     With a leading member axis on the parameters, ``y_hat`` is
     (K, n, horizon).
     """
@@ -333,11 +334,9 @@ def loss_and_grad(params: dict, x, y, config: ModelConfig):
     return parts["loss"], parts, grads
 
 
-def decompose(forward: Forward) -> np.ndarray:
-    """Per-block forecast contributions in the original scale, shape (M, n, horizon),
-    from the record ``model_forward`` returns.
-
-    Contributions sum to the final forecast up to float addition order.
-    """
-    return np.stack([block.forecast * forward.scale[:, None] for block in forward.blocks])
-
+def decompose(scale: np.ndarray, forecasts) -> np.ndarray:
+    """Per-block forecast contributions: the blocks' ``forecasts`` (in block
+    order, normalized) stacked on a leading block axis, times each row's input
+    ``scale``; (M, n, horizon), or (M, K, n, horizon) with a member axis. They
+    sum to the final forecast up to float addition order."""
+    return np.stack(forecasts) * scale[:, None]

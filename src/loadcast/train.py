@@ -10,6 +10,7 @@ parallel and be rebuilt reproducibly from the master seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -49,8 +50,8 @@ class TrainSchedule:
         for name in ("epochs", "batches_per_epoch", "batch_size", "pool_size"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -143,20 +144,7 @@ def _loss_uses_row_variance(config: ModelConfig) -> bool:
     return _uses_l2(lc) and not lc.no_var
 
 
-def train_one(
-    series_list,
-    config: ModelConfig,
-    schedule: TrainSchedule,
-    member_seed: int,
-    *,
-    split_spec: SplitSpec,
-) -> TrainResult:
-    """Train a single model; fully reproducible from (config, schedule, member_seed)."""
-    return _train_member(_training_set(series_list, config, split_spec), config, schedule,
-                         member_seed)
-
-
-def _training_set(series_list, config: ModelConfig, split_spec: SplitSpec):
+def training_set(series_list, config: ModelConfig, split_spec: SplitSpec):
     """What training reads of ``series_list``: ``data.training_windows``' rows
     ``x`` and ``y`` and per-series ``counts``, each series' first row, and the
     series ids. A DatasetError if there is no window, or if the loss
@@ -182,9 +170,10 @@ def _training_set(series_list, config: ModelConfig, split_spec: SplitSpec):
     return all_x, all_y, counts, offsets, [s.id for s in series_list]
 
 
-def _train_member(training_set, config: ModelConfig, schedule: TrainSchedule,
-                  member_seed: int) -> TrainResult:
-    """``train_one`` on the ``_training_set`` of its series."""
+def train_one(training_set, config: ModelConfig, schedule: TrainSchedule,
+              member_seed: int) -> TrainResult:
+    """Train one member on what ``training_set()`` built, reproducibly from
+    (config, schedule, member_seed); module-level, as workers get it by name."""
     all_x, all_y, counts, offsets, ids = training_set
     init_ss, sampler_ss = np.random.SeedSequence(member_seed).spawn(2)
     params = init_params(config, np.random.default_rng(init_ss))
@@ -502,10 +491,10 @@ def build_pool(
 
     if pending:
         # built once for every member, and sent to each worker with its jobs
-        training_set = _training_set(series_list, config, split_spec)
-        jobs = (repeat(training_set), repeat(config), repeat(schedule), [seeds[i] for i in pending])
-        results = (in_worker_processes(workers, _train_member, *jobs)
-                   if workers > 1 and len(pending) > 1 else map(_train_member, *jobs))
+        windows = training_set(series_list, config, split_spec)
+        jobs = (repeat(windows), repeat(config), repeat(schedule), [seeds[i] for i in pending])
+        results = (in_worker_processes(workers, train_one, *jobs)
+                   if workers > 1 and len(pending) > 1 else map(train_one, *jobs))
         for i in pending:  # no name keeps a written member while the next one trains
             _keep(i, next(results))
     if out_dir is not None and not pending:

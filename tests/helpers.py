@@ -79,7 +79,7 @@ def dm_reference(e1, e2, loss_kind="absolute", horizon_correction=1):
 
 def median_reference(matrix, draws):
     """One ``np.median`` over the gathered members per trial: the aggregation
-    loop that ``aggregate_forecasts`` replaced, kept as its bit-exact oracle."""
+    loop that ``aggregate_blocks`` replaced, kept as its bit-exact oracle."""
     return np.stack([np.median(matrix[drawn], axis=0) for drawn in draws])
 
 

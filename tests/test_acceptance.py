@@ -18,7 +18,7 @@ from loadcast.model import ModelConfig, decompose, init_params, model_forward
 from loadcast.evaluation import (
     SERIES_METRICS, aggregate_metrics, diebold_mariano, dm_decision, point_errors,
 )
-from loadcast.train import TrainSchedule, train_one
+from loadcast.train import TrainSchedule, train_one, training_set
 
 from helpers import (
     batch_objective,
@@ -121,7 +121,7 @@ def test_c3_architecture_invariants():
     x = positive_batch(rng, (6, 6))
 
     y_hat, forward = model_forward(params, x, config)
-    contributions = decompose(forward)
+    contributions = decompose(forward.scale, [block.forecast for block in forward.blocks])
     decomposition_rel = float(
         np.max(np.abs(contributions.sum(axis=0) - y_hat)) / np.max(np.abs(y_hat))
     )
@@ -164,8 +164,8 @@ def test_c4_training_scale_invariance():
     schedule = TrainSchedule(epochs=2, batches_per_epoch=5, batch_size=8, pool_size=1, seed=0)
     split_spec = SplitSpec(test_months=3, val_months=3)
 
-    base = train_one([series], config, schedule, 77, split_spec=split_spec)
-    big = train_one([scaled], config, schedule, 77, split_spec=split_spec)
+    base = train_one(training_set([series], config, split_spec), config, schedule, 77)
+    big = train_one(training_set([scaled], config, split_spec), config, schedule, 77)
     forecast_base, _ = model_forward(base.params, series.values[None, -config.lookback :], config)
     forecast_big, _ = model_forward(big.params, scaled.values[None, -config.lookback :], config)
     rel = float(np.max(np.abs(forecast_big - 1000.0 * forecast_base) / np.abs(1000.0 * forecast_base)))

@@ -227,6 +227,53 @@ def test_unknown_config_field_exits_2(tmp_path, capsys, doc, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, flags, message", [
+    ({"output_dir": ["p", 1]}, [], "config field 'output_dir' must be a string, got [\"p\", 1]"),
+    ({}, ["--set", "output_dir=true"], "config field 'output_dir' must be a string, got true"),
+    ({}, ["--set", "output_dir=7"], "config field 'output_dir' must be a string, got 7"),
+    ({"dataset": {"path": "d.csv"}}, [],
+     "config field 'dataset' must be a string, got {\"path\": \"d.csv\"}"),
+], ids=["output-dir-array", "set-output-dir-true", "set-output-dir-number", "dataset-object"])
+def test_non_string_path_field_exits_2_writing_nothing(tmp_path, workspace, capsys, monkeypatch,
+                                                       doc, flags, message):
+    # a relative output_dir would land in the working directory
+    monkeypatch.chdir(tmp_path)
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({**workspace["config"], "output_dir": "pool", **doc}))
+    assert run_cli("train", "--config", config_path, *flags) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_null_output_dir_is_a_dry_run_but_no_train(tmp_path, workspace, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({**workspace["config"], "output_dir": None}))
+    assert run_cli("train", "--config", config_path, "--dry-run") == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] is None
+    assert run_cli("train", "--config", config_path) == 2
+    assert "config is missing 'output_dir'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("train.lr=NaN", "config section 'train': lr must be positive and finite, got nan"),
+    ("train.lr=Infinity", "config section 'train': lr must be positive and finite, got inf"),
+    ("model.nmse_weight=NaN",
+     "config section 'model': nmse_weight must be >= 0 and finite, got nan"),
+    ("model.nmse_weight=Infinity",
+     "config section 'model': nmse_weight must be >= 0 and finite, got inf"),
+], ids=["lr-nan", "lr-infinity", "nmse-weight-nan", "nmse-weight-infinity"])
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "train"])
+def test_non_finite_lr_or_nmse_weight_exits_2(tmp_path, workspace, capsys, assignment, message,
+                                               dry_run):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({**workspace["config"], "output_dir": str(tmp_path / "p")}))
+    assert run_cli("train", "--config", config_path, "--set", assignment,
+                   *(["--dry-run"] if dry_run else [])) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"config error: {message}\n")
+    assert not (tmp_path / "p").exists()
+
+
 def test_manifest_ensemble_section_not_an_object_exits_2(tmp_path, workspace, capsys):
     import shutil
 
@@ -770,7 +817,8 @@ def test_forecast_decomposition_runs_one_pass_per_chunk(tmp_path, workspace, fiv
 
     series = sorted(load_dataset(workspace["dataset"], min_length=18), key=lambda s: s.id)
     x = np.stack([s.values[-pool.config.lookback :] for s in series])
-    each = [decompose(model_forward(params_of(pool, i), x, pool.config)[1]) for i in range(5)]
+    forwards = [model_forward(params_of(pool, i), x, pool.config)[1] for i in range(5)]
+    each = [decompose(f.scale, [block.forecast for block in f.blocks]) for f in forwards]
     want = np.mean([each[i] for i in drawn], axis=0)
     doc = json.loads(decomposition.read_text())["series"]
     for k, s in enumerate(series):

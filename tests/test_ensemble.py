@@ -11,7 +11,7 @@ from loadcast.ensemble import (
     CHUNK_BYTES,
     EnsembleSpec,
     _pairwise_sum,
-    aggregate_forecasts,
+    aggregate_blocks,
     draw_member_indices,
     member_forecast_matrix,
     run_trials,
@@ -21,6 +21,11 @@ from loadcast.model import init_params, model_forward
 from loadcast.train import Pool, TrainSchedule, TrainedMember, member_dtype, save_checkpoint
 
 from helpers import median_reference, params_of, tiny_config
+
+
+def aggregate(matrix, draws, aggregation):
+    """One block of trials, ``draws``, through ``aggregate_blocks``."""
+    return next(aggregate_blocks(matrix, [draws], aggregation))
 
 
 def make_pool(n_members, seed0=0, identical=False, **config):
@@ -98,36 +103,36 @@ def test_aggregate_identical_members_is_identity():
     f = np.array([3.0, 4.0])
     matrix = np.stack([f, f, f])[:, None]
     for aggregation in ("median", "mean"):
-        assert np.array_equal(aggregate_forecasts(matrix, [[0, 1, 2]], aggregation)[0, 0], f)
+        assert np.array_equal(aggregate(matrix, [[0, 1, 2]], aggregation)[0, 0], f)
 
 
 def test_aggregate_hand_values():
     matrix = np.array([[1.0, 1.0], [2.0, 2.0], [10.0, 10.0]])[:, None]
-    assert np.array_equal(aggregate_forecasts(matrix, [[0, 1, 2]], "median")[0, 0], [2.0, 2.0])
+    assert np.array_equal(aggregate(matrix, [[0, 1, 2]], "median")[0, 0], [2.0, 2.0])
     assert np.allclose(
-        aggregate_forecasts(matrix, [[0, 1, 2]], "mean")[0, 0], [13.0 / 3.0] * 2, rtol=1e-15
+        aggregate(matrix, [[0, 1, 2]], "mean")[0, 0], [13.0 / 3.0] * 2, rtol=1e-15
     )
 
 
 def test_aggregate_single_member_and_errors():
     f = np.array([5.0, 6.0, 7.0])
     matrix = f[None, None]
-    assert np.array_equal(aggregate_forecasts(matrix, [[0]], "median")[0, 0], f)
-    assert np.array_equal(aggregate_forecasts(matrix, [[0]], "mean")[0, 0], f)
+    assert np.array_equal(aggregate(matrix, [[0]], "median")[0, 0], f)
+    assert np.array_equal(aggregate(matrix, [[0]], "mean")[0, 0], f)
     with pytest.raises(ValueError, match="forecast matrix"):
-        aggregate_forecasts(np.ones((2, 3)), [[0, 1]], "median")
+        aggregate(np.ones((2, 3)), [[0, 1]], "median")
     with pytest.raises(ValueError, match="at least one member"):
-        aggregate_forecasts(np.empty((0, 1, 3)), [[0]], "median")
+        aggregate(np.empty((0, 1, 3)), [[0]], "median")
     with pytest.raises(ValueError, match="member indices"):
-        aggregate_forecasts(matrix, [0, 0], "median")
+        aggregate(matrix, [0, 0], "median")
     with pytest.raises(ValueError, match="member indices"):
-        aggregate_forecasts(matrix, [[]], "median")
+        aggregate(matrix, [[]], "median")
     with pytest.raises(ValueError, match="out of range"):
-        aggregate_forecasts(matrix, [[0, 1]], "median")
+        aggregate(matrix, [[0, 1]], "median")
     with pytest.raises(ValueError, match="out of range"):
-        aggregate_forecasts(matrix, [[-1]], "mean")
+        aggregate(matrix, [[-1]], "mean")
     with pytest.raises(ValueError, match="aggregation"):
-        aggregate_forecasts(matrix, [[0]], "mode")
+        aggregate(matrix, [[0]], "mode")
 
 
 def test_median_aggregation_is_elementwise_monotone():
@@ -135,11 +140,11 @@ def test_median_aggregation_is_elementwise_monotone():
     for _ in range(100):
         members = rng.normal(size=(5, 1, 4))
         draws = rng.integers(5, size=(1, 5))
-        base = aggregate_forecasts(members, draws, "median")
+        base = aggregate(members, draws, "median")
         bumped = members.copy()
         k = rng.integers(5)
         bumped[k] += rng.uniform(0.0, 2.0, size=(1, 4))
-        raised = aggregate_forecasts(bumped, draws, "median")
+        raised = aggregate(bumped, draws, "median")
         assert np.all(raised >= base - 1e-15)
 
 
@@ -158,14 +163,14 @@ def test_median_matches_per_trial_np_median_bit_for_bit(size, pool_size, order):
     tied = rng.choice([1.5, 2.0, 2.0, 3.25], size=(pool_size, 5, 12))
     for values in (spread, tied):
         matrix = np.asarray(values, order=order)
-        got = aggregate_forecasts(matrix, draws, "median")
+        got = aggregate(matrix, draws, "median")
         assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
     # np.median's partition may return either sign when 0.0 and -0.0 tie, so
     # with signed zeros among the ties the values are compared, not the bits
     signed_zeros = rng.choice([-1.0, -0.0, 0.0, 0.0, 2.0], size=(pool_size, 5, 12))
     matrix = np.asarray(signed_zeros, order=order)
     assert np.array_equal(
-        aggregate_forecasts(matrix, draws, "median"), median_reference(matrix, draws)
+        aggregate(matrix, draws, "median"), median_reference(matrix, draws)
     )
 
 
@@ -175,7 +180,7 @@ def test_median_is_nan_exactly_where_a_drawn_member_is_nan(size):
     matrix = rng.uniform(900.0, 1100.0, size=(6, 4, 3))
     matrix[2, 1, 0] = np.nan
     draws = rng.integers(6, size=(50, size))
-    got = aggregate_forecasts(matrix, draws, "median")
+    got = aggregate(matrix, draws, "median")
     drew_it = (draws == 2).any(axis=1)
     assert 0 < drew_it.sum() < len(draws)
     expected = np.zeros(got.shape, dtype=bool)
@@ -189,10 +194,10 @@ def test_median_of_a_large_pool_allocates_in_proportion_to_the_draw():
     rng = np.random.default_rng(4)
     matrix = rng.uniform(900.0, 1100.0, size=(2000, 10, 12))
     draws = rng.integers(2000, size=(5, 3))
-    aggregate_forecasts(matrix[:, :1, :1], draws, "median")  # first-call imports and caches
+    aggregate(matrix[:, :1, :1], draws, "median")  # first-call imports and caches
     tracemalloc.start()
     try:
-        got = aggregate_forecasts(matrix, draws, "median")
+        got = aggregate(matrix, draws, "median")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,7 +212,7 @@ def test_median_of_a_pool_as_large_as_the_draw_matches_np_median(size):
     matrix = 1000.0 + 100.0 * rng.normal(size=(size, 128, 12))
     matrix[rng.integers(size, size=50), rng.integers(128, size=50), 3] = 1000.0  # ties
     draws = rng.integers(size, size=(12, size))
-    got = aggregate_forecasts(matrix, draws, "median")
+    got = aggregate(matrix, draws, "median")
     assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
 
 
@@ -221,7 +226,7 @@ def test_median_across_integer_width_boundaries(pool_size, size):
     matrix[:, 1] += rng.normal(size=(pool_size, 3))
     draws = rng.integers(pool_size, size=(4, size))
     draws[0] = pool_size - 1  # one trial takes every draw from one member
-    got = aggregate_forecasts(matrix, draws, "median")
+    got = aggregate(matrix, draws, "median")
     assert np.array_equal(_bits(got), _bits(median_reference(matrix, draws)))
 
 
@@ -233,7 +238,7 @@ def test_median_of_the_one_trial_a_forecast_passes():
     for trial in range(20):
         drawn = draw_member_indices(16, spec, trial)
         members, inverse = np.unique(drawn, return_inverse=True)
-        got = aggregate_forecasts(pool[members], inverse[None], "median")
+        got = aggregate(pool[members], inverse[None], "median")
         assert got.shape == (1, 1, 12)
         assert np.array_equal(_bits(got), _bits(median_reference(pool[members], inverse[None])))
         assert np.array_equal(_bits(got), _bits(median_reference(pool, drawn[None])))
@@ -245,10 +250,10 @@ def test_median_walk_allocates_in_proportion_to_trials_times_positions():
     rng = np.random.default_rng(9)
     matrix = rng.uniform(900.0, 1100.0, size=(64, 128, 12))
     draws = rng.integers(64, size=(100, 64))
-    aggregate_forecasts(matrix[:, :1, :1], draws, "median")  # first-call imports and caches
+    aggregate(matrix[:, :1, :1], draws, "median")  # first-call imports and caches
     tracemalloc.start()
     try:
-        got = aggregate_forecasts(matrix, draws, "median")
+        got = aggregate(matrix, draws, "median")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,11 +273,11 @@ def test_median_walk_allocates_in_proportion_to_trials_times_positions():
 def test_median_lies_within_drawn_members_and_scales(members, size, values, seed):
     matrix = np.reshape(values, (6, 2, 2))[:members]
     draws = np.random.default_rng(seed).integers(members, size=(3, size))
-    median = aggregate_forecasts(matrix, draws, "median")
+    median = aggregate(matrix, draws, "median")
     for trial, drawn in zip(median, draws):
         assert np.all(matrix[drawn].min(axis=0) <= trial)
         assert np.all(trial <= matrix[drawn].max(axis=0))
-    assert np.array_equal(aggregate_forecasts(2.0 * matrix, draws, "median"), 2.0 * median)
+    assert np.array_equal(aggregate(2.0 * matrix, draws, "median"), 2.0 * median)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +453,7 @@ def test_run_trials_scores_as_one_pass_over_every_trial(trials):
     matrix, y, ids, spec = score_many_shape(trials)
     report = run_trials(matrix, spec, y, ids)
     draws = [draw_member_indices(len(matrix), spec, t) for t in range(trials)]
-    forecasts = aggregate_forecasts(matrix, draws, spec.aggregation)
+    forecasts = aggregate(matrix, draws, spec.aggregation)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     scores = aggregate_metrics(y[order], forecasts[:, order])
     assert report.mean_forecast.tobytes() == (forecasts.sum(axis=0) / trials).tobytes()

@@ -158,6 +158,12 @@ def test_loss_config_validation():
 # gradients
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_loss_config_rejects_a_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="nmse_weight must be >= 0 and finite"):
+        LossConfig(tau=0.35, nmse_weight=weight, no_l2=False, no_var=False)
+
+
 def test_gradient_at_kink_uses_underprediction_branch():
     y = np.array([[100.0, 50.0]])
     config = LossConfig(tau=0.5, nmse_weight=0.0, no_l2=False, no_var=False)

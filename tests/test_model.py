@@ -152,7 +152,7 @@ def test_decomposition_identity():
     params = init_params(cfg, np.random.default_rng(2))
     x = positive_batch(rng, (5, 6))
     y_hat, forward = model_forward(params, x, cfg)
-    contributions = decompose(forward)
+    contributions = decompose(forward.scale, [block.forecast for block in forward.blocks])
     assert contributions.shape == (4, 5, 3)
     total = contributions.sum(axis=0)
     assert np.max(np.abs(total - y_hat)) <= 1e-9 * np.max(np.abs(y_hat))
@@ -163,7 +163,7 @@ def test_single_block_decomposition_equals_forecast():
     params = init_params(cfg, np.random.default_rng(4))
     x = np.array([[4.0, 8.0, 6.0, 5.0, 7.0, 9.0]])
     y_hat, forward = model_forward(params, x, cfg)
-    assert np.array_equal(decompose(forward)[0], y_hat)
+    assert np.array_equal(decompose(forward.scale, [forward.blocks[0].forecast])[0], y_hat)
 
 
 def test_residual_nonnegativity_with_gate():

@@ -26,6 +26,7 @@ from loadcast.train import (
     pool_manifest,
     save_checkpoint,
     train_one,
+    training_set,
     write_json,
 )
 
@@ -43,8 +44,8 @@ def tiny_dataset(n=2, months=42, noise=0.01):
 
 
 def test_training_reduces_loss_on_clean_sinusoid_with_trend():
-    series = [sinusoid_trend_series(months=48, noise=0.0)]
-    trace = train_one(series, tiny_config(), TINY_SCHEDULE, 7, split_spec=TINY_SPLIT).loss_trace
+    windows = training_set([sinusoid_trend_series(months=48, noise=0.0)], tiny_config(), TINY_SPLIT)
+    trace = train_one(windows, tiny_config(), TINY_SCHEDULE, 7).loss_trace
     assert trace[-1]["loss"] < trace[0]["loss"]
     assert len(trace) == 2
     assert {"epoch", "loss", "pmape", "nmse_term"} <= trace[0].keys()
@@ -52,12 +53,13 @@ def test_training_reduces_loss_on_clean_sinusoid_with_trend():
 
 def test_training_is_bit_deterministic():
     series = tiny_dataset()
-    a = train_one(series, tiny_config(), TINY_SCHEDULE, 99, split_spec=TINY_SPLIT)
-    b = train_one(series, tiny_config(), TINY_SCHEDULE, 99, split_spec=TINY_SPLIT)
+    a = train_one(training_set(series, tiny_config(), TINY_SPLIT), tiny_config(), TINY_SCHEDULE, 99)
+    b = train_one(training_set(series, tiny_config(), TINY_SPLIT), tiny_config(), TINY_SCHEDULE, 99)
     assert a.loss_trace == b.loss_trace
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
-    c = train_one(series, tiny_config(), TINY_SCHEDULE, 100, split_spec=TINY_SPLIT)
+    c = train_one(training_set(series, tiny_config(), TINY_SPLIT), tiny_config(), TINY_SCHEDULE,
+                  100)
     assert any(not np.array_equal(a.params[n], c.params[n]) for n in a.params)
 
 
@@ -65,17 +67,16 @@ def test_empty_dataset_is_a_precondition_error():
     # long enough to pass load validation, too short to host a training window
     short = [TimeSeries("S", (2020, 1), np.linspace(10, 20, 14))]
     with pytest.raises(DatasetError, match="no training windows"):
-        train_one(short, tiny_config(), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT)
+        training_set(short, tiny_config(), TINY_SPLIT)
 
 
 def test_constant_target_window_is_surfaced_before_training():
     flat = [TimeSeries("FLAT", (2020, 1), np.full(42, 50.0))]
     with pytest.raises(DatasetError, match="FLAT.*constant target"):
-        train_one(flat, tiny_config(), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT)
+        training_set(flat, tiny_config(), TINY_SPLIT)
     # disabling the variance normalization (or the L2 term) lifts the guard
-    result = train_one(
-        flat, tiny_config(ablation=frozenset({"noVar"})), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT
-    )
+    no_var = tiny_config(ablation=frozenset({"noVar"}))
+    result = train_one(training_set(flat, no_var, TINY_SPLIT), no_var, TINY_SCHEDULE, 1)
     assert np.isfinite(result.loss_trace[-1]["loss"])
 
 
@@ -87,11 +88,10 @@ def test_constant_target_names_its_series_and_anchor():
     values[20:23] = values[20]
     ramp = TimeSeries("RAMP", (2020, 1), values)
     with pytest.raises(DatasetError, match="series 'RAMP': training window at anchor 19 "):
-        train_one([short, ramp], tiny_config(), TINY_SCHEDULE, 1, split_spec=TINY_SPLIT)
+        training_set([short, ramp], tiny_config(), TINY_SPLIT)
     # rows of a series with windows before them shift RAMP's rows, not its anchors
     with pytest.raises(DatasetError, match="series 'RAMP': training window at anchor 19 "):
-        train_one([tiny_dataset(1)[0], short, ramp], tiny_config(), TINY_SCHEDULE, 1,
-                  split_spec=TINY_SPLIT)
+        training_set([tiny_dataset(1)[0], short, ramp], tiny_config(), TINY_SPLIT)
 
 
 def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
@@ -103,7 +103,8 @@ def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
 
     monkeypatch.setattr(train_mod, "init_params", poisoned)
     with pytest.raises(FloatingPointError, match="epoch 1, batch 1"):
-        train_one(tiny_dataset(), tiny_config(), TINY_SCHEDULE, 5, split_spec=TINY_SPLIT)
+        train_one(training_set(tiny_dataset(), tiny_config(), TINY_SPLIT), tiny_config(),
+                  TINY_SCHEDULE, 5)
 
 
 def assert_same_params(a, b):
@@ -149,8 +150,8 @@ def test_train_one_persists_checkpoint(tmp_path):
                           out_dir=out_dir)
         assert not hasattr(pool.members[0], "params")
         assert str(pool.rows.filename) == str(out_dir / "members.npy")
-        direct = train_one(tiny_dataset(), cfg, schedule, pool.members[0].seed,
-                           split_spec=TINY_SPLIT)
+        direct = train_one(training_set(tiny_dataset(), cfg, TINY_SPLIT), cfg, schedule,
+                           pool.members[0].seed)
         assert_same_params(params_of(pool, 0), direct.params)
 
 
@@ -427,13 +428,18 @@ def test_schedule_validation():
         TrainSchedule(lr=0.0)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+def test_schedule_rejects_a_non_finite_lr(lr):
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        TrainSchedule(lr=lr)
+
+
 def test_no_l2_trace_has_zero_l2_component():
-    series = tiny_dataset()
-    member = train_one(
-        series, tiny_config(ablation=frozenset({"noL2"})), TINY_SCHEDULE, 11, split_spec=TINY_SPLIT
-    )
+    no_l2 = tiny_config(ablation=frozenset({"noL2"}))
+    member = train_one(training_set(tiny_dataset(), no_l2, TINY_SPLIT), no_l2, TINY_SCHEDULE, 11)
     assert all(entry["nmse_term"] == 0.0 for entry in member.loss_trace)
-    full = train_one(series, tiny_config(), TINY_SCHEDULE, 11, split_spec=TINY_SPLIT)
+    windows = training_set(tiny_dataset(), tiny_config(), TINY_SPLIT)
+    full = train_one(windows, tiny_config(), TINY_SCHEDULE, 11)
     assert any(entry["nmse_term"] > 0.0 for entry in full.loss_trace)
 
 
